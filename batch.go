@@ -4,12 +4,6 @@ import (
 	"context"
 	"fmt"
 	"time"
-
-	"r2t/internal/mech"
-	"r2t/internal/obs"
-	"r2t/internal/plan"
-	"r2t/internal/schema"
-	"r2t/internal/sql"
 )
 
 // BatchQuery is one query of a QueryBatch: its SQL text and its own full
@@ -28,60 +22,27 @@ type BatchQuery struct {
 // the redundant joins are gone. Budget accounting is unchanged — N items
 // are N releases, each paying its own ε.
 //
-// The whole batch is validated, parsed and planned before anything is
-// evaluated, so an invalid item fails the batch without any partial
-// evaluation. Any later error also fails the whole batch, wrapped with the
-// item's index.
+// The whole batch is prepared before anything is evaluated, so an invalid
+// item fails the batch without any partial evaluation. Any later error also
+// fails the whole batch, wrapped with the item's index.
 func (db *DB) QueryBatch(ctx context.Context, batch []BatchQuery) ([]*Answer, error) {
 	if len(batch) == 0 {
 		return nil, fmt.Errorf("r2t: empty batch")
 	}
-	type item struct {
-		parsed *sql.Query
-		p      *plan.Plan
-		rec    *obs.Recorder
-		signed bool
-		choice *mech.Choice
+	fail := func(i int, err error) ([]*Answer, error) {
+		return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
 	}
-	items := make([]item, len(batch))
-	for i, bq := range batch {
-		if err := bq.Opt.Validate(); err != nil {
-			return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-		}
-		var rec *obs.Recorder
-		if bq.Opt.Profile {
-			rec = obs.NewRecorder()
-		}
-		stopParse := rec.Time(obs.StageParse)
-		parsed, err := sql.Parse(bq.SQL)
-		stopParse()
-		if err != nil {
-			return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-		}
-		stopPlan := rec.Time(obs.StagePlan)
-		p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: bq.Opt.Primary})
-		stopPlan()
-		if err != nil {
-			return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-		}
-		choice, err := chooseFor(p, bq.Opt, false)
-		if err != nil {
-			return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-		}
-		items[i] = item{
-			parsed: parsed,
-			p:      p,
-			rec:    rec,
-			signed: bq.Opt.AllowNegativeSum && parsed.Agg == sql.AggSum,
-			choice: choice,
-		}
-	}
-
+	items := make([]*Prepared, len(batch))
 	// Group items by join signature, in first-appearance order.
 	groupOf := make(map[string][]int)
 	var order []string
-	for i := range items {
-		sig := items[i].p.JoinSignature()
+	for i, bq := range batch {
+		p, err := db.Prepare(bq.SQL, bq.Opt)
+		if err != nil {
+			return fail(i, err)
+		}
+		items[i] = p
+		sig := p.plan.JoinSignature()
 		if _, seen := groupOf[sig]; !seen {
 			order = append(order, sig)
 		}
@@ -91,47 +52,30 @@ func (db *DB) QueryBatch(ctx context.Context, batch []BatchQuery) ([]*Answer, er
 	answers := make([]*Answer, len(batch))
 	for _, sig := range order {
 		members := groupOf[sig]
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("r2t: batch item %d: %w", members[0], err)
-		}
 		// One probe pass per group. The leader item (first member) supplies
 		// the executor configuration and receives the probe's profile; with
 		// the DB-level cache on, the pass may itself be shared with — or
 		// borrowed from — concurrent queries outside this batch.
 		lead := members[0]
-		core, err := db.coreFor(ctx, items[lead].p, batch[lead].Opt, items[lead].rec)
+		core, err := db.coreFor(ctx, items[lead])
 		if err != nil {
-			return nil, fmt.Errorf("r2t: batch item %d: %w", lead, err)
+			return fail(lead, err)
 		}
 		for _, i := range members {
 			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
+				return fail(i, err)
 			}
 			start := time.Now()
-			it, opt := items[i], batch[i].Opt
-			var ans *Answer
-			if it.signed {
-				pos, neg, err := core.SplitResult(it.p, it.rec)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
-				ans, err = db.privatizeSigned(ctx, pos, neg, opt, it.rec, it.choice)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
-			} else {
-				res, err := core.Result(it.p, it.rec)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
-				ans, err = db.privatize(ctx, res, opt, it.rec, it.choice)
-				if err != nil {
-					return nil, fmt.Errorf("r2t: batch item %d: %w", i, err)
-				}
+			units, err := items[i].units(core)
+			if err != nil {
+				return fail(i, err)
 			}
-			ans.Duration = time.Since(start)
-			ans.Profile = it.rec.Snapshot()
-			answers[i] = ans
+			released, err := items[i].Release(ctx, units, batch[i].Opt.Noise)
+			if err != nil {
+				return fail(i, err)
+			}
+			released[0].Duration = time.Since(start)
+			answers[i] = released[0]
 		}
 	}
 	return answers, nil

@@ -1,13 +1,10 @@
 package r2t
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
-
-	"r2t/internal/plan"
-	"r2t/internal/schema"
-	"r2t/internal/sql"
 )
 
 // ErrBudgetExhausted is wrapped by Spend/SpendWith when the remaining budget
@@ -137,31 +134,12 @@ func (b *Budget) Balance() (spent, remaining float64) {
 // QueryWithBudget runs Query after charging opt.Epsilon against the budget.
 // Static failures (bad SQL, unknown relations, invalid options, a mechanism
 // that does not apply to the query's structure) are detected before charging
-// — Options.Validate, planning and the mechanism chooser all run first, so
-// no invalid request ever burns ε — but once the mechanism runs, the charge
+// — the whole prepare stage runs first, and it never touches the instance, so
+// no invalid request ever burns ε — but once the charge is admitted it
 // stands, even if evaluation later fails or is cancelled.
 func (db *DB) QueryWithBudget(sqlText string, opt Options, budget *Budget) (*Answer, error) {
 	if budget == nil {
 		return nil, fmt.Errorf("r2t: nil budget")
 	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	// Validate statically first so syntax errors don't burn budget. Planning
-	// and the chooser touch only the query and schema, never the instance.
-	parsed, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
-	if err != nil {
-		return nil, err
-	}
-	if _, err := chooseFor(p, opt, false); err != nil {
-		return nil, err
-	}
-	if err := budget.Spend(opt.Epsilon); err != nil {
-		return nil, err
-	}
-	return db.Query(sqlText, opt)
+	return db.query(context.Background(), sqlText, opt, budget)
 }

@@ -188,6 +188,11 @@ func TestInvalidOptionsNeverCharge(t *testing.T) {
 		{"beta above one", func(o *Options) { o.Beta = 2 }},
 		{"no primary", func(o *Options) { o.Primary = nil }},
 		{"naive signed sum", func(o *Options) { o.Naive = true; o.AllowNegativeSum = true }},
+		{"unknown mechanism", func(o *Options) { o.Mechanism = "gaussian" }},
+		{"naive non-r2t mechanism", func(o *Options) { o.Naive = true; o.Mechanism = "laplace" }},
+		{"error target without auto", func(o *Options) { o.ErrorTarget = 5 }},
+		{"fixed tau without fixed-tau", func(o *Options) { o.FixedTau = 4 }},
+		{"fixed tau above GSQ", func(o *Options) { o.Mechanism = "fixed-tau"; o.FixedTau = 32 }},
 	}
 	for _, c := range invalid {
 		t.Run(c.name, func(t *testing.T) {

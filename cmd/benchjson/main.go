@@ -757,26 +757,27 @@ func runAppend() []execResult {
 // shareAnswerGate checks the released-answer half of the join-sharing
 // equivalence gate: every tenant's QueryBatch answer must be bit-identical
 // (estimate, true answer, τ*) to a solo db.Query of the same seeded options
-// with sharing disabled.
+// on a twin DB over the same instance with sharing off.
 func shareAnswerGate(w *experiments.ShareWorkload) error {
 	db := r2t.NewDBWithInstance(w.Inst)
-	opts := func(i int, disable bool) r2t.Options {
+	unshared := r2t.NewDBWithInstance(w.Inst)
+	unshared.SetJoinShareCap(0)
+	opts := func(i int) r2t.Options {
 		return r2t.Options{
 			Epsilon: 0.5, GSQ: 1024, Primary: w.Primary, Beta: 0.1,
 			Noise: r2t.NewNoiseSource(int64(1000 + i)), EarlyStop: true,
-			DisableJoinShare: disable,
 		}
 	}
 	batch := make([]r2t.BatchQuery, len(w.SQLs))
 	for i, q := range w.SQLs {
-		batch[i] = r2t.BatchQuery{SQL: q, Opt: opts(i, false)}
+		batch[i] = r2t.BatchQuery{SQL: q, Opt: opts(i)}
 	}
 	got, err := db.QueryBatch(context.Background(), batch)
 	if err != nil {
 		return err
 	}
 	for i, q := range w.SQLs {
-		want, err := db.Query(q, opts(i, true))
+		want, err := unshared.Query(q, opts(i))
 		if err != nil {
 			return err
 		}

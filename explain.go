@@ -7,8 +7,6 @@ import (
 	"strings"
 
 	"r2t/internal/exec"
-	"r2t/internal/plan"
-	"r2t/internal/schema"
 	"r2t/internal/sql"
 )
 
@@ -70,15 +68,11 @@ type SensitivityProfile struct {
 // profile. Do not release any of it; use it to choose public parameters
 // from representative (non-sensitive) data.
 func (db *DB) Sensitivities(sqlText string, primary []string) (*SensitivityProfile, error) {
-	parsed, err := sql.Parse(sqlText)
+	l, err := db.lower(sqlText, primary, nil)
 	if err != nil {
 		return nil, err
 	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: primary})
-	if err != nil {
-		return nil, err
-	}
-	res, err := exec.Run(p, db.instance)
+	res, err := exec.Run(l.plan, db.instance)
 	if err != nil {
 		return nil, err
 	}
@@ -175,18 +169,19 @@ func ExplainAnalyze(ans *Answer) string {
 // Explain lowers a query without touching any data and reports the completed
 // join structure the provenance will be computed over.
 func (db *DB) Explain(sqlText string, primary []string) (*Explanation, error) {
-	parsed, err := sql.Parse(sqlText)
+	l, err := db.lower(sqlText, primary, nil)
 	if err != nil {
 		return nil, err
 	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: primary})
-	if err != nil {
-		return nil, err
-	}
+	return l.Explanation(), nil
+}
 
+// Explanation describes the lowered query (see DB.Explain).
+func (l lowered) Explanation() *Explanation {
+	p := l.plan
 	e := &Explanation{
-		Query:      parsed.String(),
-		Aggregate:  parsed.Agg.String(),
+		Query:      l.SQL(),
+		Aggregate:  l.parsed.Agg.String(),
 		Projection: len(p.ProjVars) > 0,
 		SelfJoin:   p.SelfJoin(),
 	}
@@ -207,5 +202,5 @@ func (db *DB) Explain(sqlText string, primary []string) (*Explanation, error) {
 	for _, f := range p.Filters {
 		e.Filters = append(e.Filters, sql.ExprString(f.Expr))
 	}
-	return e, nil
+	return e
 }

@@ -4,12 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"r2t/internal/exec"
-	"r2t/internal/obs"
-	"r2t/internal/plan"
-	"r2t/internal/schema"
 	"r2t/internal/sql"
-	"r2t/internal/value"
 )
 
 // GroupByAnswer is the result of one group in QueryGroupBy.
@@ -46,93 +41,21 @@ func (db *DB) QueryGroupBy(sqlText string, column string, groups []Value, opt Op
 // the per-group releases. The same charge semantics as QueryContext apply: a
 // cancelled release must be treated as fully charged.
 func (db *DB) QueryGroupByContext(ctx context.Context, sqlText string, column string, groups []Value, opt Options) ([]GroupByAnswer, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("r2t: group-by needs at least one group value")
-	}
-	if err := opt.Validate(); err != nil {
+	p, err := db.prepare(sqlText, opt, &groupSpec{column: column, values: groups})
+	if err != nil {
 		return nil, err
 	}
-	seen := make(map[value.V]int, len(groups))
+	units, err := db.Evaluate(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	answers, err := p.Release(ctx, units, opt.Noise)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]GroupByAnswer, len(groups))
 	for i, g := range groups {
-		if j, dup := seen[g.Key()]; dup {
-			return nil, fmt.Errorf("r2t: duplicate group value %v (positions %d and %d): each group would be released twice and charged two ε shares", g, j, i)
-		}
-		seen[g.Key()] = i
-	}
-	var rec *obs.Recorder
-	if opt.Profile {
-		rec = obs.NewRecorder()
-	}
-	stopParse := rec.Time(obs.StageParse)
-	parsed, err := sql.Parse(sqlText)
-	stopParse()
-	if err != nil {
-		return nil, err
-	}
-	colRef, err := parseColumn(column)
-	if err != nil {
-		return nil, err
-	}
-	stopPlan := rec.Time(obs.StagePlan)
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
-	stopPlan()
-	if err != nil {
-		return nil, err
-	}
-	groupVar := p.ColVar(colRef)
-	if groupVar < 0 {
-		return nil, fmt.Errorf("r2t: group-by column %q does not name a join column of the query (unknown or ambiguous)", column)
-	}
-
-	perGroup := opt
-	perGroup.Epsilon = opt.Epsilon / float64(len(groups))
-
-	signed := opt.AllowNegativeSum && parsed.Agg == sql.AggSum
-	if signed && len(p.ProjVars) > 0 {
-		return nil, fmt.Errorf("r2t: signed split does not apply to projection queries")
-	}
-	// The mechanism decision is made once for the whole release, from the
-	// group-by shape (only r2t composes over the per-group split) and the
-	// per-group ε — data-independent, identical for every group.
-	choice, err := chooseFor(p, perGroup, true)
-	if err != nil {
-		return nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := c.PartitionedResult(p, rec, groupVar, groups, signed)
-	if err != nil {
-		return nil, err
-	}
-
-	out := make([]GroupByAnswer, 0, len(groups))
-	for i, g := range groups {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("r2t: group %v: %w", g, err)
-		}
-		var ans *Answer
-		if signed {
-			pos, neg := exec.Split(parts[i])
-			ans, err = db.privatizeSigned(ctx, pos, neg, perGroup, rec, choice)
-		} else {
-			ans, err = db.privatize(ctx, parts[i], perGroup, rec, choice)
-		}
-		if err != nil {
-			return nil, fmt.Errorf("r2t: group %v: %w", g, err)
-		}
-		out = append(out, GroupByAnswer{Group: g, Answer: ans})
-	}
-	if prof := rec.Snapshot(); prof != nil {
-		// One recorder spans the shared parse/plan/exec work and every group's
-		// R2T run, so each group carries the same whole-evaluation profile.
-		for i := range out {
-			out[i].Answer.Profile = prof
-		}
+		out[i] = GroupByAnswer{Group: g, Answer: answers[i]}
 	}
 	return out, nil
 }

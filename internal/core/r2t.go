@@ -58,23 +58,6 @@ type Config struct {
 	// privacy budget must treat an interrupted run as fully charged.
 	Interrupt <-chan struct{}
 
-	// Degrade enables per-race graceful degradation: a race whose LP solve
-	// fails (error, iteration-limit exhaustion, or a contained panic) is
-	// skipped instead of aborting the run, the remaining races continue,
-	// and the Output carries Degraded=true with the failure recorded in its
-	// Race entry. If no race survives, Run still returns an error.
-	// Interrupts always abort regardless of Degrade.
-	//
-	// The noise for every race is drawn up front, so the max over fewer
-	// races is post-processing of the same (ε/L)-DP race outputs — but only
-	// when the set of skipped races is data-independent. Organic solver
-	// failures generally are not (iteration counts depend on the LP
-	// instance), so callers releasing across a privacy boundary must treat
-	// a degraded run, and the Degraded flag itself, as outside the ε
-	// accounting (DESIGN.md §9d). The r2td server therefore leaves Degrade
-	// off and fails such runs uniformly.
-	Degrade bool
-
 	// Recorder, when non-nil, collects stage timings (noise draws, the race
 	// section) and counters (early-stop prunes, LP work via the truncator).
 	// Profiling is pure observation — it never alters the released estimate.
@@ -115,8 +98,6 @@ type Race struct {
 	Half     string  // "" for unsigned runs; "+"/"-" per half of a signed split
 	Solved   bool    // the exact LP was solved
 	Pruned   bool    // killed by a dual bound before an exact solve
-	Failed   bool    // the solve failed and the race was skipped (Degrade)
-	Err      string  // failure detail, when Failed
 	Value    float64 // exact Q(I,τ), when Solved
 	Noisy    float64 // Q̃(I,τ) = Value + noise − penalty, when Solved
 	Duration time.Duration
@@ -126,7 +107,6 @@ type Race struct {
 type Output struct {
 	Estimate  float64 // the released, ε-DP answer
 	WinnerTau float64 // τ of the winning race (0 if the floor Q(I,0) won)
-	Degraded  bool    // at least one race was skipped (Config.Degrade)
 	Races     []Race
 	Duration  time.Duration
 }
@@ -162,14 +142,16 @@ type GridTruncator interface {
 // Fault tolerance: Run never lets a panic escape — solver or noise-source
 // panics are recovered and converted to errors, so a caller that charged a
 // privacy budget before running stays on the safe side (charged but
-// unanswered) instead of crashing with the charge's fate ambiguous. With
-// cfg.Degrade, per-race solver failures additionally degrade the run
-// instead of failing it (see Config.Degrade).
+// unanswered) instead of crashing with the charge's fate ambiguous. A failed
+// race fails the whole run: which races fail is data-dependent, so a max over
+// the survivors would be an un-noised signal outside the ε accounting
+// (DESIGN.md §9d).
 func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 	// Whole-run panic containment: noise draws, the floor evaluation, and
 	// anything else outside the per-race path. The per-race recover below
-	// is tighter (it enables degradation); this one is the backstop that
-	// guarantees the no-escaping-panics contract.
+	// is tighter (it names the race, and covers the worker goroutines this
+	// one cannot); this is the backstop that guarantees the
+	// no-escaping-panics contract.
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("r2t: panic during run (budget must be treated as charged): %v", p)
@@ -218,7 +200,6 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 	var mu sync.Mutex
 	best, winner := out.Estimate, out.WinnerTau
 	races := make([]Race, 0, n)
-	survivors, failures := 0, 0
 	readBest := func() float64 {
 		mu.Lock()
 		defer mu.Unlock()
@@ -231,11 +212,6 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		mu.Lock()
 		defer mu.Unlock()
 		races = append(races, race)
-		if race.Failed {
-			failures++
-			return
-		}
-		survivors++
 		if race.Solved && race.Noisy > best {
 			best = race.Noisy
 			winner = race.Tau
@@ -252,8 +228,15 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 	}
 
 	// runRace executes one race: tighten dual bounds until pruned or solve
-	// the LP exactly. Returns the first hard error.
-	runRace := func(j int) error {
+	// the LP exactly. Returns the first hard error; it is also the fault
+	// boundary around the race — a panic in the solver (or the truncator)
+	// becomes that race's error, on the race workers too.
+	runRace := func(j int) (err error) {
+		defer func() {
+			if p := recover(); p != nil {
+				err = fmt.Errorf("r2t: race τ=%g panicked: %v", taus[j], p)
+			}
+		}()
 		if interrupted() {
 			return ErrInterrupted
 		}
@@ -297,27 +280,6 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		return nil
 	}
 
-	// attemptRace is the fault boundary around one race: panics in the
-	// solver (or the truncator) are contained here, and with cfg.Degrade a
-	// failed race is recorded and skipped instead of aborting the run.
-	// Interrupts always propagate — they are the caller's own signal, not a
-	// race failure.
-	attemptRace := func(j int) error {
-		err := func() (err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("r2t: race τ=%g panicked: %v", taus[j], p)
-				}
-			}()
-			return runRace(j)
-		}()
-		if err == nil || errors.Is(err, ErrInterrupted) || !cfg.Degrade {
-			return err
-		}
-		finish(Race{Tau: taus[j], Failed: true, Err: err.Error()})
-		return nil
-	}
-
 	// Without early stop every race is solved exactly, so a grid-capable
 	// truncator evaluates the whole schedule in one amortized pass (the
 	// τ-independent LP structure is shared across races). Values is
@@ -343,72 +305,54 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 			}()
 			return gridTr.Values(taus)
 		}()
-		switch {
-		case gridErr == nil:
-			per := time.Since(gridStart) / time.Duration(n)
-			for j := n - 1; j >= 0; j-- {
-				shift := noise[j] - penaltyFactor*taus[j]
-				finish(Race{
-					Tau:      taus[j],
-					Solved:   true,
-					Value:    vs[j],
-					Noisy:    vs[j] + shift,
-					Duration: per, // amortized share of the grid pass
-				})
-			}
-		case cfg.Degrade:
-			// The amortized pass fails as a unit, so it cannot skip a single
-			// bad τ. Fall back to per-race solves: healthy races still
-			// release, and only the genuinely failing ones degrade.
-			useGrid = false
-		default:
+		if gridErr != nil {
 			return nil, gridErr
 		}
-	}
-	if !useGrid {
+		per := time.Since(gridStart) / time.Duration(n)
+		for j := n - 1; j >= 0; j-- {
+			shift := noise[j] - penaltyFactor*taus[j]
+			finish(Race{
+				Tau:      taus[j],
+				Solved:   true,
+				Value:    vs[j],
+				Noisy:    vs[j] + shift,
+				Duration: per, // amortized share of the grid pass
+			})
+		}
+	} else if workers == 1 {
 		// Largest τ first: those LPs tend to solve fastest (their capacity
 		// rows are mostly redundant), and a strong early best prunes the
 		// rest.
-		if workers == 1 {
-			for j := n - 1; j >= 0; j-- {
-				if err := attemptRace(j); err != nil {
-					return nil, err
-				}
+		for j := n - 1; j >= 0; j-- {
+			if err := runRace(j); err != nil {
+				return nil, err
 			}
-		} else {
-			idx := make(chan int, n)
-			for j := n - 1; j >= 0; j-- {
-				idx <- j
-			}
-			close(idx)
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					for j := range idx {
-						if err := attemptRace(j); err != nil {
-							errs <- err
-							return
-						}
+		}
+	} else {
+		idx := make(chan int, n)
+		for j := n - 1; j >= 0; j-- {
+			idx <- j
+		}
+		close(idx)
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func() {
+				for j := range idx {
+					if err := runRace(j); err != nil {
+						errs <- err
+						return
 					}
-					errs <- nil
-				}()
-			}
-			for w := 0; w < workers; w++ {
-				if err := <-errs; err != nil {
-					return nil, err
 				}
+				errs <- nil
+			}()
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-errs; err != nil {
+				return nil, err
 			}
 		}
 	}
 	stopLP()
-
-	// A degraded run must still be anchored by at least one surviving race:
-	// releasing only the floor after every race failed would be technically
-	// valid but operationally a silent total failure — surface it instead,
-	// with the budget conservatively treated as charged by the caller.
-	if failures > 0 && survivors == 0 {
-		return nil, fmt.Errorf("r2t: no race survived (%d of %d failed; first: %s)", failures, n, races[0].Err)
-	}
 
 	// Deterministic diagnostics order (descending τ), regardless of how the
 	// workers interleaved.
@@ -416,7 +360,6 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 	out.Races = races
 	out.Estimate = best
 	out.WinnerTau = winner
-	out.Degraded = failures > 0
 	out.Duration = time.Since(start)
 	return out, nil
 }

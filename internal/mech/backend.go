@@ -60,7 +60,6 @@ type Params struct {
 	EarlyStop bool
 	Workers   int
 	Interrupt <-chan struct{}
-	Degrade   bool
 }
 
 // Result is one backend release plus non-private diagnostics.
@@ -68,7 +67,6 @@ type Result struct {
 	Estimate  float64 // the released, ε-DP answer
 	WinnerTau float64 // winning/chosen τ (0 where the mechanism has none)
 	Races     []core.Race
-	Degraded  bool
 	Duration  time.Duration
 }
 
@@ -114,7 +112,6 @@ func (r2tBackend) Run(tr truncation.Truncator, p Params) (*Result, error) {
 		EarlyStop: p.EarlyStop,
 		Workers:   p.Workers,
 		Interrupt: p.Interrupt,
-		Degrade:   p.Degrade,
 		Recorder:  p.Rec,
 	})
 	if err != nil {
@@ -124,7 +121,6 @@ func (r2tBackend) Run(tr truncation.Truncator, p Params) (*Result, error) {
 		Estimate:  out.Estimate,
 		WinnerTau: out.WinnerTau,
 		Races:     out.Races,
-		Degraded:  out.Degraded,
 		Duration:  out.Duration,
 	}, nil
 }

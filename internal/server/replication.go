@@ -97,11 +97,13 @@ func (st *replState) redirectTarget() string {
 // answerRecord is the TypeAnswer payload: one released DP answer for the
 // replica's free-replay cache.
 type answerRecord struct {
-	Key        string  `json:"key"`
-	Estimate   float64 `json:"estimate"`
-	Epsilon    float64 `json:"epsilon"`
-	Query      string  `json:"query"`
-	AtUnixNano int64   `json:"at"`
+	Key      string  `json:"key"`
+	Estimate float64 `json:"estimate"`
+	Epsilon  float64 `json:"epsilon"`
+	Query    string  `json:"query"`
+	// Mechanism rides along so a replica's replay body equals its primary's.
+	Mechanism  string `json:"mechanism,omitempty"`
+	AtUnixNano int64  `json:"at"`
 }
 
 // isReplica reports whether this node currently serves as a replica.
@@ -371,6 +373,7 @@ func (s *Server) publishAnswer(key string, ans cachedAnswer) {
 		Estimate:   ans.Estimate,
 		Epsilon:    ans.Epsilon,
 		Query:      ans.Query,
+		Mechanism:  ans.Mechanism,
 		AtUnixNano: ans.At.UnixNano(),
 	})
 	if err != nil {
@@ -631,10 +634,11 @@ func (a *replicaApplier) ApplyAnswer(epoch uint64, payload []byte) error {
 		return errors.New("replicated answer without a key")
 	}
 	a.s.cache.storeReplicated(rec.Key, cachedAnswer{
-		Estimate: rec.Estimate,
-		Epsilon:  rec.Epsilon,
-		Query:    rec.Query,
-		At:       time.Unix(0, rec.AtUnixNano),
+		Estimate:  rec.Estimate,
+		Epsilon:   rec.Epsilon,
+		Query:     rec.Query,
+		Mechanism: rec.Mechanism,
+		At:        time.Unix(0, rec.AtUnixNano),
 	})
 	return nil
 }

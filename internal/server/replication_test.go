@@ -44,6 +44,7 @@ type replNode struct {
 	ts         *httptest.Server
 	c          *testClient
 	ledgerPath string
+	reqLog     *bytes.Buffer // routers only: the operator request log
 }
 
 func startReplNode(t *testing.T, schemaPath, dataDir, base, name, role, primaryAddr string, syncReplicas int) *replNode {
@@ -195,6 +196,13 @@ func TestReplicationCatchUpServeAndPromote(t *testing.T) {
 	code, br, _ := b.c.query(q2)
 	if code != http.StatusOK || br.Estimate != r3.Estimate {
 		t.Fatalf("replica replay: code %d estimate %g, want %g", code, br.Estimate, r3.Estimate)
+	}
+	// The same fingerprint replays with the same body on either node —
+	// mechanism and budget balances included — apart from the wall clock.
+	code, ar, _ := a.c.query(q2)
+	ar.ElapsedMS, br.ElapsedMS = 0, 0
+	if code != http.StatusOK || ar != br {
+		t.Fatalf("replay bodies diverge:\n primary %+v\n replica %+v", ar, br)
 	}
 
 	// A query the replica has no recorded release for redirects to the

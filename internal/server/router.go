@@ -16,117 +16,41 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
-	"time"
 
 	"r2t"
 	"r2t/internal/mech"
 	"r2t/internal/shard"
-	"r2t/internal/truncation"
 )
 
 // errShardScatter marks a scatter that did not gather every shard's partial.
 // The charge stands; classifyError maps it to 503 + Retry-After.
 var errShardScatter = errors.New("r2td: sharded evaluation failed (the charged ε stands)")
 
-// routerQuery answers one query over a sharded dataset. Role gates have run;
-// the structural gates here are charge-free, then the leader closure charges
-// once and scatters.
-func (s *Server) routerQuery(ctx context.Context, w http.ResponseWriter, ds *Dataset, req *queryRequest, opt r2t.Options, choice *mech.Choice, normalized, key string, start time.Time) {
+// shardGates are the structural conditions a sharded dataset puts on a
+// prepared query, checked charge-free ahead of the shared leader closure.
+func shardGates(ds *Dataset, prep *r2t.Prepared) error {
 	// Only r2t's truncation partials merge across shards; every other
 	// mechanism needs the whole instance in one place.
-	if choice.Mech != mech.MechR2T {
-		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest,
-			fmt.Errorf("mechanism %q cannot run on sharded dataset %q (partials merge only under r2t)", choice.Mech, ds.Name))
-		return
+	if m := prep.Choice().Mech; m != mech.MechR2T {
+		return fmt.Errorf("mechanism %q cannot run on sharded dataset %q (partials merge only under r2t)", m, ds.Name)
 	}
 	// The privacy unit must be the partition relation: rows are co-located by
 	// ITS key, so that is the only primary set under which per-shard partials
 	// partition the join.
-	if len(opt.Primary) != 1 || opt.Primary[0] != ds.Routing.Partition {
-		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest,
-			fmt.Errorf("sharded dataset %q supports primary=[%q] only, got %v", ds.Name, ds.Routing.Partition, opt.Primary))
-		return
+	if primary := prep.Options().Primary; len(primary) != 1 || primary[0] != ds.Routing.Partition {
+		return fmt.Errorf("sharded dataset %q supports primary=[%q] only, got %v", ds.Name, ds.Routing.Partition, primary)
 	}
 	// Static shardability: every join must pin its partition column to the
 	// partition key, so no join result spans shards.
-	if err := ds.DB.ShardCheck(req.SQL, opt.Primary, ds.Routing.Partition, ds.Routing.PartitionCols()); err != nil {
-		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
-		return
-	}
-
-	ans, cached, err := s.cache.do(ctx, key, func() (ca cachedAnswer, err error) {
-		defer func() {
-			if p := recover(); p != nil {
-				s.metrics.panicRecovered()
-				err = fmt.Errorf("r2td: panic during sharded evaluation (any charged ε stands): %v", p)
-			}
-		}()
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		default:
-			return cachedAnswer{}, errSaturated
-		}
-		// Charge BEFORE scatter: the router's ledger is the single charge
-		// authority for the shard group, and the charge must be durable
-		// before any shard can observe the sub-query. From here on the ε
-		// stands even if every shard is dead.
-		if err := ds.Budget.SpendWith(opt.Epsilon, func() error {
-			return s.ledger.Append(LedgerEntry{
-				Dataset:     ds.Name,
-				Epsilon:     opt.Epsilon,
-				Query:       normalized,
-				Fingerprint: key,
-				Epoch:       s.repl.epoch.Load(),
-			})
-		}); err != nil {
-			return cachedAnswer{}, err
-		}
-		merged, err := s.scatterAndMerge(ctx, ds, req.SQL, opt)
-		if err != nil {
-			return cachedAnswer{}, err
-		}
-		be, ok := mech.ByName(mech.MechR2T)
-		if !ok {
-			return cachedAnswer{}, fmt.Errorf("r2td: no r2t backend")
-		}
-		out, err := be.Run(merged, mech.Params{
-			Epsilon:   opt.Epsilon,
-			GSQ:       opt.GSQ,
-			Beta:      opt.Beta,
-			Noise:     opt.Noise,
-			EarlyStop: opt.EarlyStop,
-			Interrupt: ctx.Done(),
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return cachedAnswer{}, ctx.Err()
-			}
-			return cachedAnswer{}, err
-		}
-		s.metrics.mechSelected(ds.Name, mech.MechR2T)
-		return cachedAnswer{
-			Estimate:  out.Estimate,
-			Epsilon:   opt.Epsilon,
-			Query:     normalized,
-			Mechanism: mech.MechR2T,
-			At:        time.Now(),
-		}, nil
-	})
-	if err != nil {
-		status, code := classifyError(err)
-		s.fail(w, ds.Name, ds, status, start, code, err)
-		return
-	}
-	s.respondQuery(w, ds, normalized, ans, cached, start, nil)
+	return prep.ShardCheck(ds.Routing.Partition, ds.Routing.PartitionCols())
 }
 
-// scatterAndMerge sends the uncharged sub-query to every shard and merges the
-// gathered partials into the union operator. Any shard failing (after the
-// pool's hedged retries) fails the whole evaluation — a merge over a subset
-// of shards would silently undercount.
-func (s *Server) scatterAndMerge(ctx context.Context, ds *Dataset, sqlText string, opt r2t.Options) (*truncation.MergedPartition, error) {
+// scatter is the router's evaluate stage: it sends the uncharged sub-query to
+// every shard and merges the gathered partials into the union operator. Any
+// shard failing (after the pool's hedged retries) fails the whole evaluation
+// — a merge over a subset of shards would silently undercount.
+func (s *Server) scatter(ctx context.Context, ds *Dataset, sqlText string, prep *r2t.Prepared) ([]r2t.Unit, error) {
+	opt := prep.Options()
 	payload := shard.EncodeSubQuery(shard.SubQuery{
 		Dataset: ds.Name,
 		SQL:     sqlText,
@@ -139,7 +63,7 @@ func (s *Server) scatterAndMerge(ctx context.Context, ds *Dataset, sqlText strin
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", errShardScatter, err)
 	}
-	parts := make([]*truncation.Partial, len(raws))
+	parts := make([][]*r2t.Partial, len(raws))
 	for i, raw := range raws {
 		reply, err := shard.DecodeReply(raw)
 		if err != nil {
@@ -150,12 +74,9 @@ func (s *Server) scatterAndMerge(ctx context.Context, ds *Dataset, sqlText strin
 			// evaluation); surface it as the uniform internal error, charged.
 			return nil, fmt.Errorf("shard %q sub-query failed: %s", ds.Pool.Node(i).Name, reply.Err)
 		}
-		if len(reply.Units) != 1 {
-			return nil, fmt.Errorf("shard %q returned %d partial units, want 1", ds.Pool.Node(i).Name, len(reply.Units))
-		}
-		parts[i] = reply.Units[0]
+		parts[i] = reply.Units
 	}
-	return truncation.MergePartials(parts)
+	return prep.MergeUnits(parts)
 }
 
 // serveShardSubQuery is the shard-side half: the repl hub calls it for each

@@ -35,7 +35,6 @@ import (
 
 	"r2t"
 	"r2t/internal/dp"
-	"r2t/internal/mech"
 	"r2t/internal/repl"
 	"r2t/internal/shard"
 )
@@ -422,56 +421,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		ErrorTarget: req.ErrorTarget,
 		FixedTau:    req.FixedTau,
 		EarlyStop:   true,
-		Noise:       s.noise(),
 		ExecWorkers: s.execWorkers,
 		// Profile is always on server-side: the per-stage timings feed the
 		// aggregate r2td_stage_seconds_total metrics and the operator request
 		// log. They stay operator-side — the analyst response never carries
 		// them (DESIGN.md §11, mirroring §9d's uniform-error discipline).
 		Profile: true,
-		// Degrade stays off. Whether a race's LP solve fails (iteration
-		// exhaustion, a contained solver panic) depends on the private data,
-		// so a max over the surviving races — or any analyst-visible trace of
-		// which races survived — would be an un-noised, data-dependent signal
-		// outside the ε accounting. The server fails such runs uniformly
-		// instead (DESIGN.md §9d).
 	}
-	// The shared Options.Validate runs before anything can charge ε; the
-	// mechanism parameters it rejects here are exactly the ones Query would
-	// reject after a charge-free path.
-	if err := opt.Validate(); err != nil {
-		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
-		return
-	}
-	// Static analysis (parse, plan against the schema) catches bad SQL
-	// charge-free and yields the normalized query text the cache keys on.
-	expl, err := ds.DB.Explain(req.SQL, opt.Primary)
+	// The prepare stage — options, parse, plan against the schema, mechanism
+	// resolution — runs once, reads no data, and is the only way to obtain
+	// something the stages below accept: no request it rejects can reach the
+	// charge (DESIGN.md §17). It also yields the normalized query text the
+	// cache keys on.
+	prep, err := ds.DB.Prepare(req.SQL, opt)
 	if err != nil {
 		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
 		return
 	}
-	normalized := expl.Query
-	// Resolve the mechanism against the query's structure BEFORE any charge
-	// can happen: the chooser reads only the explanation (query + schema) and
-	// the request's public parameters, so an inapplicable mechanism — or any
-	// auto-mode resolution — is decided charge-free, and no invalid-ε charge
-	// path exists (the engine re-runs the same deterministic choice inside
-	// QueryContext and cannot disagree).
-	choice, err := mech.Choose(mech.Shape{
-		SelfJoin:   expl.SelfJoin,
-		Projection: expl.Projection,
-	}, mech.Config{
-		Mechanism:   opt.Mechanism,
-		Epsilon:     opt.Epsilon,
-		GSQ:         opt.GSQ,
-		Beta:        opt.Beta,
-		FixedTau:    opt.FixedTau,
-		ErrorTarget: opt.ErrorTarget,
-	})
-	if err != nil {
-		s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
-		return
-	}
+	normalized, mechName := prep.SQL(), prep.Choice().Mech
 
 	timeout := s.timeout
 	if req.TimeoutMS > 0 {
@@ -482,13 +449,9 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
-	// β=0 means the default; normalize so explicit and implicit defaults
-	// share a fingerprint.
-	beta := opt.Beta
-	if beta == 0 {
-		beta = 0.1
-	}
-	key := fingerprint(ds.Name, normalized, opt.Epsilon, opt.GSQ, beta, opt.Primary,
+	// Prepare normalized β (0 means the default), so explicit and implicit
+	// defaults share a fingerprint.
+	key := fingerprint(ds.Name, normalized, opt.Epsilon, opt.GSQ, prep.Options().Beta, opt.Primary,
 		opt.Mechanism, opt.ErrorTarget, opt.FixedTau)
 
 	// Role gate. Replicas serve recorded releases (pure post-processing, zero
@@ -511,12 +474,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// Sharded datasets take the router path: charge here, evaluate there
-	// (scatter uncharged sub-queries, merge the shards' truncation partials,
-	// release once — DESIGN.md §16).
+	// The evaluate stage is the one thing a sharded dataset does differently:
+	// charge here, evaluate there (router.go, DESIGN.md §16).
+	evaluate := func(ctx context.Context) ([]r2t.Unit, error) { return ds.DB.Evaluate(ctx, prep) }
 	if ds.Sharded() {
-		s.routerQuery(ctx, w, ds, &req, opt, choice, normalized, key, start)
-		return
+		if err := shardGates(ds, prep); err != nil {
+			s.fail(w, ds.Name, ds, statusInvalid, start, http.StatusBadRequest, err)
+			return
+		}
+		evaluate = func(ctx context.Context) ([]r2t.Unit, error) { return s.scatter(ctx, ds, req.SQL, prep) }
 	}
 
 	// Captured by the leader closure: the stage profile of a fresh run, for
@@ -544,11 +510,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		default:
 			return cachedAnswer{}, errSaturated
 		}
-		// Charge before running: the ledger append is the commit hook, so
+		// Charge before evaluating: the ledger append is the commit hook, so
 		// the charge is durable before it is admitted and admitted before
-		// the mechanism runs. From here on the charge stands even if the
-		// mechanism fails or the deadline expires (noise is already drawn;
-		// refunds would allow free re-runs).
+		// any data is read — on a router, before any shard can observe the
+		// sub-query, which is what makes hedges and retries free. From here
+		// on the charge stands even if a shard is dead, the mechanism fails
+		// or the deadline expires (noise is already drawn; refunds would
+		// allow free re-runs).
 		if err := ds.Budget.SpendWith(opt.Epsilon, func() error {
 			return s.ledger.Append(LedgerEntry{
 				Dataset:     ds.Name,
@@ -560,18 +528,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}); err != nil {
 			return cachedAnswer{}, err
 		}
-		a, err := ds.DB.QueryContext(ctx, req.SQL, opt)
+		units, err := evaluate(ctx)
 		if err != nil {
 			return cachedAnswer{}, err
 		}
-		prof = a.Profile
-		s.metrics.observeStages(ds.Name, a.Profile)
-		s.metrics.mechSelected(ds.Name, a.Mechanism)
+		// The noise source is made here, after the charge: replays and
+		// rejections never pay for seeding one.
+		released, err := prep.Release(ctx, units, s.noise())
+		if err != nil {
+			return cachedAnswer{}, err
+		}
+		prof = released[0].Profile
+		s.metrics.observeStages(ds.Name, prof)
+		s.metrics.mechSelected(ds.Name, mechName)
 		ca = cachedAnswer{
-			Estimate:  a.Estimate,
+			Estimate:  released[0].Estimate,
 			Epsilon:   opt.Epsilon,
 			Query:     normalized,
-			Mechanism: a.Mechanism,
+			Mechanism: mechName,
 			At:        time.Now(),
 		}
 		// Stream the release to replicas so their free-replay caches can serve

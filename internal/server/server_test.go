@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"r2t"
 )
 
 // writeGraphDataset lays out a small node-DP graph dataset on disk: 10
@@ -367,6 +369,8 @@ func TestServerStageMetricsAndRequestLog(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	noiseSources, newSource := 0, srv.noise
+	srv.noise = func() r2t.NoiseSource { noiseSources++; return newSource() }
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 	defer srv.Close()
@@ -381,6 +385,11 @@ func TestServerStageMetricsAndRequestLog(t *testing.T) {
 	}
 	if code, _, _ := c.query(`{"dataset":"graph","sql":"SELEKT","epsilon":0.1,"gsq":16}`); code != http.StatusBadRequest {
 		t.Fatalf("bad query: HTTP %d", code)
+	}
+	// Only the charged run asks for a noise source; the replay and the
+	// rejection never pay for seeding one.
+	if noiseSources != 1 {
+		t.Errorf("%d noise sources made for one fresh run, one replay and one 400; want 1", noiseSources)
 	}
 
 	// /metrics carries the aggregated stage series for the fresh run.

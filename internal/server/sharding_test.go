@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"r2t/internal/fault"
 	"r2t/internal/shard"
 	"r2t/internal/value"
 )
@@ -180,13 +181,29 @@ func startRouterAt(t *testing.T, base, schemaPath string, nodes []shard.Node, ep
 		NodeName:     "router",
 		Role:         RoleRouter,
 		ShardTimeout: 2 * time.Second,
+		RequestLog:   new(bytes.Buffer),
 	}
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatalf("starting router: %v", err)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	return &replNode{name: "router", srv: srv, ts: ts, c: &testClient{t: t, url: ts.URL}, ledgerPath: cfg.LedgerPath}
+	return &replNode{name: "router", srv: srv, ts: ts, c: &testClient{t: t, url: ts.URL}, ledgerPath: cfg.LedgerPath,
+		reqLog: cfg.RequestLog.(*bytes.Buffer)}
+}
+
+// routerLog parses the router's operator request log, one entry per request.
+func routerLog(t *testing.T, router *replNode) []requestLogEntry {
+	t.Helper()
+	var out []requestLogEntry
+	for _, line := range strings.Split(strings.TrimRight(router.reqLog.String(), "\n"), "\n") {
+		var e requestLogEntry
+		if err := json.Unmarshal([]byte(line), &e); err != nil {
+			t.Fatalf("request log line not JSON: %v\n%s", err, line)
+		}
+		out = append(out, e)
+	}
+	return out
 }
 
 // startTwin starts the unsharded single-node twin: same schema, the union of
@@ -254,6 +271,12 @@ func TestShardedEquivalence(t *testing.T) {
 				if rr.Mechanism != "r2t" {
 					t.Fatalf("%q: mechanism %q", q, rr.Mechanism)
 				}
+				// Same respondQuery: the whole body matches the twin's, budget
+				// balances included, apart from the wall clock.
+				rr.ElapsedMS, tr.ElapsedMS = 0, 0
+				if rr != tr {
+					t.Fatalf("%q: router body %+v != twin body %+v", q, rr, tr)
+				}
 			}
 
 			// Released answers replay from the cache for free, like any node.
@@ -276,6 +299,32 @@ func TestShardedEquivalence(t *testing.T) {
 			_, sm := shards[0].c.get("/metrics")
 			if !strings.Contains(sm, "r2td_shard_subqueries_served_total") {
 				t.Errorf("shard /metrics missing r2td_shard_subqueries_served_total")
+			}
+
+			// A sharded release runs the router's half of the pipeline —
+			// prepare, the partial merge, the races, the noise — and reports it
+			// like a local one: stage series on /metrics, stage_ms on each fresh
+			// request's log line (and on no replay's). The join ran on the shards.
+			routerStages := []string{"parse", "plan", "truncation-build", "lp-solve", "noise"}
+			for _, stage := range routerStages {
+				if want := fmt.Sprintf(`r2td_stage_count_total{dataset="shop",stage="%s"} %d`, stage, len(queries)); !strings.Contains(rm, want) {
+					t.Errorf("router /metrics missing %q", want)
+				}
+			}
+			log := routerLog(t, router)
+			if len(log) != len(queries)+1 {
+				t.Fatalf("router request log has %d entries, want %d", len(log), len(queries)+1)
+			}
+			for i, e := range log {
+				if i == len(queries) {
+					if e.Status != statusCacheHit || len(e.Stages) != 0 {
+						t.Errorf("replay log entry: %+v", e)
+					}
+					continue
+				}
+				if _, ran := e.Stages["exec"]; e.Status != statusOK || len(e.Stages) != len(routerStages) || ran {
+					t.Errorf("fresh sharded log entry %d: %+v", i, e)
+				}
 			}
 		})
 	}
@@ -361,6 +410,47 @@ func TestRouterGates(t *testing.T) {
 	}
 	if fps, eps, _ := parseLedgerFile(t, router.ledgerPath); len(fps) != 0 || eps != 0 {
 		t.Fatalf("gates charged: %d records, ε=%g", len(fps), eps)
+	}
+	// The gates fail through the same path as a local 400: counted as
+	// invalid, logged with their cause, no stages.
+	if _, rm := router.c.get("/metrics"); !strings.Contains(rm, fmt.Sprintf(`r2td_queries_total{dataset="shop",status="invalid"} %d`, len(cases))) {
+		t.Errorf("router /metrics does not count the gates as invalid:\n%s", rm)
+	}
+	for i, e := range routerLog(t, router) {
+		if e.Status != statusInvalid || e.Code != http.StatusBadRequest || e.Error == "" || len(e.Stages) != 0 {
+			t.Errorf("%s: log entry %+v", cases[i].name, e)
+		}
+	}
+
+	// Past the gates a sharded request runs the leader closure local requests
+	// run, so it is covered by the same recover and the same classifyError: a
+	// panic in the commit hook is a uniform 500 with nothing admitted, and a
+	// full worker pool is a 429 with Retry-After.
+	defer fault.Reset()
+	fault.Enable("ledger.write", fault.Rule{Panic: "torn page"})
+	good := queryBody("SELECT COUNT(*) FROM Customer c, Orders o WHERE c.CK = o.CK", 0.5)
+	code, _, fail := router.c.query(good)
+	if code != http.StatusInternalServerError || fail.Error != errInternal.Error() {
+		t.Fatalf("panicking sharded charge: HTTP %d, %+v", code, fail)
+	}
+	if spent := router.srv.reg.Get("shop").Budget.Spent(); spent != 0 {
+		t.Fatalf("charge admitted despite the panicking commit hook: spent %g", spent)
+	}
+	fault.Reset()
+	if _, rm := router.c.get("/metrics"); !strings.Contains(rm, "r2td_panics_recovered_total 1") {
+		t.Errorf("router /metrics should count the recovered panic")
+	}
+	for i := 0; i < cap(router.srv.sem); i++ {
+		router.srv.sem <- struct{}{}
+	}
+	resp, err := http.Post(router.ts.URL+"/v1/query", "application/json", strings.NewReader(
+		queryBody("SELECT COUNT(*) FROM Customer c, Orders o WHERE c.CK = o.CK AND o.price > 1", 0.5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != retryAfterBusy {
+		t.Fatalf("saturated router: HTTP %d Retry-After %q, want 429/%s", resp.StatusCode, resp.Header.Get("Retry-After"), retryAfterBusy)
 	}
 }
 

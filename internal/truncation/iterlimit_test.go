@@ -22,8 +22,8 @@ func cliqueOccurrences(k int) *Occurrences {
 // TestIterationLimitPropagatesAsError: when the LP solver exhausts its
 // iteration budget, Value and Values must return an error — never a partial
 // objective — on both the shared-grid path and the ablated lp.Solve path.
-// R2T races may then skip the race (core.Config.Degrade) but can never
-// release a non-optimal value.
+// core.Run then fails the whole run; it can never release a non-optimal
+// value.
 func TestIterationLimitPropagatesAsError(t *testing.T) {
 	wantErr := func(t *testing.T, v float64, err error) {
 		t.Helper()

@@ -37,12 +37,21 @@ var shareVariants = []struct {
 	{"SELECT COUNT(DISTINCT e1.src)" + shareJoinSQL, false, 104},
 }
 
-func shareOpts(signed bool, seed int64, disable bool) Options {
+func shareOpts(signed bool, seed int64) Options {
 	return Options{
 		Epsilon: 1, GSQ: 256, Primary: []string{"Node"}, Beta: 0.1,
 		Noise: NewNoiseSource(seed), EarlyStop: true,
-		AllowNegativeSum: signed, DisableJoinShare: disable,
+		AllowNegativeSum: signed,
 	}
+}
+
+// unsharedTwin is a second DB over db's instance with join sharing off: every
+// query through it runs its own private probe pass, and db's cache counters
+// never see it. It is the reference side of every sharing equivalence gate.
+func unsharedTwin(db *DB) *DB {
+	twin := NewDBWithInstance(db.Instance())
+	twin.SetJoinShareCap(0)
+	return twin
 }
 
 func sameAnswer(a, b *Answer) bool {
@@ -57,11 +66,11 @@ func sameAnswer(a, b *Answer) bool {
 func TestJoinShareBitIdentical(t *testing.T) {
 	db := graphDB(t, shareEdges(60), 60)
 	for _, v := range shareVariants {
-		unshared, err := db.Query(v.sql, shareOpts(v.signed, v.seed, true))
+		unshared, err := unsharedTwin(db).Query(v.sql, shareOpts(v.signed, v.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := db.Query(v.sql, shareOpts(v.signed, v.seed, false))
+		shared, err := db.Query(v.sql, shareOpts(v.signed, v.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,7 +107,7 @@ func TestQueryBatchBitIdentical(t *testing.T) {
 
 	batch := make([]BatchQuery, len(specs))
 	for i, sp := range specs {
-		batch[i] = BatchQuery{SQL: sp.sql, Opt: shareOpts(sp.signed, sp.seed, false)}
+		batch[i] = BatchQuery{SQL: sp.sql, Opt: shareOpts(sp.signed, sp.seed)}
 	}
 	got, err := db.QueryBatch(context.Background(), batch)
 	if err != nil {
@@ -107,7 +116,7 @@ func TestQueryBatchBitIdentical(t *testing.T) {
 	for i, sp := range specs {
 		// Fresh options (the batch consumed its noise sources) with the same
 		// seed: solo evaluation must agree bit-for-bit.
-		want, err := db.Query(sp.sql, shareOpts(sp.signed, sp.seed, false))
+		want, err := db.Query(sp.sql, shareOpts(sp.signed, sp.seed))
 		if err != nil {
 			t.Fatalf("item %d: %v", i, err)
 		}
@@ -120,8 +129,8 @@ func TestQueryBatchBitIdentical(t *testing.T) {
 func TestQueryBatchValidatesUpfront(t *testing.T) {
 	db := graphDB(t, shareEdges(12), 12)
 	_, err := db.QueryBatch(context.Background(), []BatchQuery{
-		{SQL: edgeCount, Opt: shareOpts(false, 1, false)},
-		{SQL: "SELECT COUNT(*) FROM Nowhere", Opt: shareOpts(false, 2, false)},
+		{SQL: edgeCount, Opt: shareOpts(false, 1)},
+		{SQL: "SELECT COUNT(*) FROM Nowhere", Opt: shareOpts(false, 2)},
 	})
 	if err == nil {
 		t.Fatal("bad item must fail the batch")
@@ -141,7 +150,7 @@ func TestJoinShareSingleFlightConcurrent(t *testing.T) {
 	// Unshared reference answers at version 0.
 	want := make([]*Answer, len(shareVariants))
 	for i, v := range shareVariants {
-		a, err := db.Query(v.sql, shareOpts(v.signed, v.seed, true))
+		a, err := unsharedTwin(db).Query(v.sql, shareOpts(v.signed, v.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +166,7 @@ func TestJoinShareSingleFlightConcurrent(t *testing.T) {
 				wg.Add(1)
 				go func(i int, sql string, signed bool, seed int64) {
 					defer wg.Done()
-					got, err := db.Query(sql, shareOpts(signed, seed, false))
+					got, err := db.Query(sql, shareOpts(signed, seed))
 					if err != nil {
 						errs <- err
 						return
@@ -190,7 +199,7 @@ func TestJoinShareSingleFlightConcurrent(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, v := range shareVariants {
-		a, err := db.Query(v.sql, shareOpts(v.signed, v.seed, true))
+		a, err := unsharedTwin(db).Query(v.sql, shareOpts(v.signed, v.seed))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -222,9 +231,10 @@ func TestJoinShareAppendInterleaved(t *testing.T) {
 	clone := db.Instance().Clone()
 	for ver := 0; ver <= len(appends); ver++ {
 		vdb := NewDBWithInstance(clone.Clone())
+		vdb.SetJoinShareCap(0)
 		refs[ver] = make([]*Answer, len(shareVariants))
 		for i, v := range shareVariants {
-			a, err := vdb.Query(v.sql, shareOpts(v.signed, v.seed, true))
+			a, err := vdb.Query(v.sql, shareOpts(v.signed, v.seed))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -245,7 +255,7 @@ func TestJoinShareAppendInterleaved(t *testing.T) {
 			go func(w int) {
 				defer wg.Done()
 				for i, v := range shareVariants {
-					got, err := db.Query(v.sql, shareOpts(v.signed, v.seed, false))
+					got, err := db.Query(v.sql, shareOpts(v.signed, v.seed))
 					if err != nil {
 						errs <- err
 						return

@@ -42,27 +42,6 @@ type Options struct {
 	// half runs R2T with ε/2, and the difference is released. GSQ then bounds
 	// an individual's contribution to *either* half.
 	AllowNegativeSum bool
-	// Degrade skips races whose LP solve fails (error, iteration-limit
-	// exhaustion, or a contained panic) instead of failing the query: the
-	// remaining races still race and Answer.Degraded reports the skip.
-	//
-	// Privacy caveat: the max over fewer races is post-processing of the
-	// same (ε/L)-DP race outputs only when the set of skipped races does not
-	// depend on the data. Organic solver failures generally DO depend on the
-	// data (iteration counts are a function of the LP instance), so at a
-	// privacy boundary a degraded estimate — or any visible trace of which
-	// races survived — is not covered by the ε accounting. Use Degrade for
-	// experiments and curator-side diagnostics only; the r2td server leaves
-	// it off and fails such runs uniformly (DESIGN.md §9d). The default
-	// (off) fails the whole query on any race failure.
-	Degrade bool
-	// DisableJoinShare opts this evaluation out of the DB's join-core cache:
-	// the probe pass runs privately instead of being served from (or
-	// published to) the shared cache. Sharing never changes a released
-	// answer — the equivalence gates enforce bit-identity — so this knob
-	// exists for those gates and for isolating perf measurements, not for
-	// privacy (the cached core never leaves the engine, DESIGN.md §12).
-	DisableJoinShare bool
 	// Profile collects a per-stage breakdown of where the evaluation spent
 	// its time (parse, plan, exec, truncation build, LP solving, noise) plus
 	// work counters, surfaced as Answer.Profile. Profiling is pure
@@ -89,18 +68,12 @@ type Options struct {
 	// FixedTau (Mechanism "fixed-tau" only) is the truncation threshold; 0
 	// means GS_Q. Must lie in (0, GSQ].
 	FixedTau float64
-	// DisableFastPath opts out of the closed-form partition truncator, which
-	// replaces the LP when each join result's provenance names at most one
-	// individual. The fast path is bit-identical to the LP on every released
-	// value — the equivalence gates enforce this — so the knob exists for
-	// those gates and for perf isolation, not for correctness.
-	DisableFastPath bool
 }
 
 // Validate checks the parameter invariants the mechanism will enforce,
 // without evaluating anything. It is the single authority on what makes
-// Options well-formed: Query, QueryWithBudget and the r2td server all call
-// it up front, so no invalid-option request can reach a budget charge. (The
+// Options well-formed: the prepare stage, which every entry point and the
+// r2td server go through before any budget charge, runs it first. (The
 // mechanism core re-checks defensively; both sides must agree.)
 func (opt Options) Validate() error {
 	if opt.Epsilon <= 0 {

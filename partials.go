@@ -4,12 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"r2t/internal/exec"
 	"r2t/internal/mech"
-	"r2t/internal/obs"
-	"r2t/internal/plan"
-	"r2t/internal/schema"
-	"r2t/internal/sql"
 	"r2t/internal/truncation"
 )
 
@@ -47,55 +42,7 @@ type QueryPartials struct {
 // projection; each join result referencing at most one individual), the same
 // structure the partition fast path serves.
 func (db *DB) Partials(ctx context.Context, sqlText string, opt Options) (*QueryPartials, error) {
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	parsed, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
-	if err != nil {
-		return nil, err
-	}
-	choice, err := chooseFor(p, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	if choice.Mech != mech.MechR2T {
-		return nil, fmt.Errorf("r2t: mechanism %q does not produce mergeable partials (only r2t does)", choice.Mech)
-	}
-	if len(p.ProjVars) > 0 {
-		return nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var rec *obs.Recorder
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	if opt.AllowNegativeSum && parsed.Agg == sql.AggSum {
-		pos, neg, err := c.SplitResult(p, rec)
-		if err != nil {
-			return nil, err
-		}
-		units, err := partialUnits(pos, neg)
-		if err != nil {
-			return nil, err
-		}
-		return &QueryPartials{Units: units, Signed: true}, nil
-	}
-	res, err := c.Result(p, rec)
-	if err != nil {
-		return nil, err
-	}
-	units, err := partialUnits(res)
-	if err != nil {
-		return nil, err
-	}
-	return &QueryPartials{Units: units}, nil
+	return db.partials(ctx, sqlText, opt, nil)
 }
 
 // GroupPartials is Partials for a group-by release: one unit per group (two
@@ -103,81 +50,39 @@ func (db *DB) Partials(ctx context.Context, sqlText string, opt Options) (*Query
 // release order so a router that merges unit-by-unit and draws noise in the
 // same order reproduces the unsharded released sequence.
 func (db *DB) GroupPartials(ctx context.Context, sqlText string, column string, groups []Value, opt Options) (*QueryPartials, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("r2t: group-by needs at least one group value")
-	}
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	parsed, err := sql.Parse(sqlText)
-	if err != nil {
-		return nil, err
-	}
-	colRef, err := parseColumn(column)
-	if err != nil {
-		return nil, err
-	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: opt.Primary})
-	if err != nil {
-		return nil, err
-	}
-	groupVar := p.ColVar(colRef)
-	if groupVar < 0 {
-		return nil, fmt.Errorf("r2t: group-by column %q does not name a join column of the query (unknown or ambiguous)", column)
-	}
-	signed := opt.AllowNegativeSum && parsed.Agg == sql.AggSum
-	if len(p.ProjVars) > 0 {
-		return nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
-	}
-	perGroup := opt
-	perGroup.Epsilon = opt.Epsilon / float64(len(groups))
-	choice, err := chooseFor(p, perGroup, true)
-	if err != nil {
-		return nil, err
-	}
-	if choice.Mech != mech.MechR2T {
-		return nil, fmt.Errorf("r2t: mechanism %q does not produce mergeable partials (only r2t does)", choice.Mech)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	var rec *obs.Recorder
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	parts, err := c.PartitionedResult(p, rec, groupVar, groups, signed)
-	if err != nil {
-		return nil, err
-	}
-	out := &QueryPartials{Signed: signed}
-	for i := range groups {
-		var units []*Partial
-		if signed {
-			pos, neg := exec.Split(parts[i])
-			units, err = partialUnits(pos, neg)
-		} else {
-			units, err = partialUnits(parts[i])
-		}
-		if err != nil {
-			return nil, fmt.Errorf("r2t: group %v: %w", groups[i], err)
-		}
-		out.Units = append(out.Units, units...)
-	}
-	return out, nil
+	return db.partials(ctx, sqlText, opt, &groupSpec{column: column, values: groups})
 }
 
-// partialUnits converts evaluated results to partials, one per unit.
-func partialUnits(results ...*exec.Result) ([]*Partial, error) {
-	units := make([]*Partial, 0, len(results))
-	for _, res := range results {
-		p, err := truncation.NewPartial(truncation.FromResult(res))
-		if err != nil {
-			return nil, err
-		}
-		units = append(units, p)
+// partials is prepare → evaluate with the units left in their mergeable
+// form instead of being built into operators.
+func (db *DB) partials(ctx context.Context, sqlText string, opt Options, gb *groupSpec) (*QueryPartials, error) {
+	p, err := db.prepare(sqlText, opt, gb)
+	if err != nil {
+		return nil, err
 	}
-	return units, nil
+	// Only r2t races a truncation operator that merges across shards, and
+	// only the partition shape — which a projection never has — merges at all.
+	if p.choice.Mech != mech.MechR2T {
+		return nil, fmt.Errorf("r2t: mechanism %q does not produce mergeable partials (only r2t does)", p.choice.Mech)
+	}
+	if len(p.plan.ProjVars) > 0 {
+		return nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
+	}
+	c, err := db.coreFor(ctx, p)
+	if err != nil {
+		return nil, err
+	}
+	views, err := p.results(c)
+	if err != nil {
+		return nil, err
+	}
+	out := &QueryPartials{Units: make([]*Partial, len(views)), Signed: p.signed}
+	for i, res := range views {
+		if out.Units[i], err = truncation.NewPartial(truncation.FromResult(res)); err != nil {
+			return nil, fmt.Errorf("r2t: release unit %d: %w", i, err)
+		}
+	}
+	return out, nil
 }
 
 // ShardCheck verifies that a query is safe to evaluate shard-locally on a
@@ -200,14 +105,16 @@ func partialUnits(results ...*exec.Result) ([]*Partial, error) {
 // Under these conditions the shard-local joins partition the unsharded join
 // exactly: summing per-shard partials loses nothing and counts nothing twice.
 func (db *DB) ShardCheck(sqlText string, primary []string, partition string, partitionCols map[string]string) error {
-	parsed, err := sql.Parse(sqlText)
+	l, err := db.lower(sqlText, primary, nil)
 	if err != nil {
 		return err
 	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: primary})
-	if err != nil {
-		return err
-	}
+	return l.ShardCheck(partition, partitionCols)
+}
+
+// ShardCheck is DB.ShardCheck on an already-lowered query.
+func (l lowered) ShardCheck(partition string, partitionCols map[string]string) error {
+	p := l.plan
 	if len(p.ProjVars) > 0 {
 		return fmt.Errorf("r2t: projection queries are not shardable")
 	}

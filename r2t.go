@@ -27,18 +27,14 @@ package r2t
 
 import (
 	"context"
-	"fmt"
 	"io"
 	"time"
 
 	"r2t/internal/core"
 	"r2t/internal/dp"
 	"r2t/internal/exec"
-	"r2t/internal/mech"
 	"r2t/internal/obs"
-	"r2t/internal/plan"
 	"r2t/internal/schema"
-	"r2t/internal/sql"
 	"r2t/internal/storage"
 	"r2t/internal/truncation"
 	"r2t/internal/value"
@@ -166,12 +162,6 @@ type Answer struct {
 
 	// Non-private diagnostics (do not release):
 
-	// Degraded reports that at least one race was skipped after a solver
-	// failure (Options.Degrade). Whether a solve fails can depend on the
-	// private data, so this flag — like every diagnostic below — must never
-	// be published alongside the estimate (DESIGN.md §9d).
-	Degraded bool
-
 	TrueAnswer float64 // exact query answer Q(I)
 	// TauStar is DS_Q(I) for SJA and IS_Q(I) for SPJA — the error scale. For
 	// a signed split (AllowNegativeSum) it is the max over the two halves.
@@ -209,15 +199,11 @@ type Answer struct {
 // The output is RAW PRIVATE DATA (it is the input to the DP mechanism, not
 // its output); treat the file with the same care as the database itself.
 func (db *DB) ExportReport(sqlText string, primary []string, w io.Writer) error {
-	parsed, err := sql.Parse(sqlText)
+	l, err := db.lower(sqlText, primary, nil)
 	if err != nil {
 		return err
 	}
-	p, err := plan.Build(parsed, db.schema, schema.PrivateSpec{Primary: primary})
-	if err != nil {
-		return err
-	}
-	res, err := exec.Run(p, db.instance)
+	res, err := exec.Run(l.plan, db.instance)
 	if err != nil {
 		return err
 	}
@@ -239,287 +225,33 @@ func (db *DB) Query(sqlText string, opt Options) (*Answer, error) {
 // consumed its randomness; refunding ε for cancelled queries would let an
 // adversary rerun the mechanism for free by racing deadlines.
 func (db *DB) QueryContext(ctx context.Context, sqlText string, opt Options) (*Answer, error) {
+	return db.query(ctx, sqlText, opt, nil)
+}
+
+// query is the single-release walk: prepare, charge (QueryWithBudget only),
+// evaluate, release. The charge sits after the one stage that can reject a
+// request without reading data and before the first that reads any.
+func (db *DB) query(ctx context.Context, sqlText string, opt Options, budget *Budget) (*Answer, error) {
 	start := time.Now()
-	if err := opt.Validate(); err != nil {
-		return nil, err
-	}
-	var rec *obs.Recorder
-	if opt.Profile {
-		rec = obs.NewRecorder()
-	}
-	stopParse := rec.Time(obs.StageParse)
-	parsed, err := sql.Parse(sqlText)
-	stopParse()
+	p, err := db.Prepare(sqlText, opt)
 	if err != nil {
 		return nil, err
 	}
-	ans, err := db.run(ctx, parsed, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	ans.Duration = time.Since(start)
-	ans.Profile = rec.Snapshot()
-	return ans, nil
-}
-
-// execConfig maps the public executor knob onto the exec package.
-func execConfig(opt Options, rec *obs.Recorder) exec.Config {
-	return exec.Config{Workers: opt.ExecWorkers, Recorder: rec}
-}
-
-// coreFor obtains the query's join core, sharing a cached or in-flight probe
-// pass when sharing is on (and counting the outcome into rec). The core is
-// identical to what a dedicated exec run would have produced, so every path
-// through it stays bit-compatible with the unshared engine.
-func (db *DB) coreFor(ctx context.Context, p *plan.Plan, opt Options, rec *obs.Recorder) (*exec.Core, error) {
-	if db.cores == nil || opt.DisableJoinShare {
-		rec.Add(obs.CtrJoinCoreMiss, 1)
-		return exec.RunCore(p, db.instance, execConfig(opt, rec))
-	}
-	c, hit, err := db.cores.Get(ctx, p, db.instance, execConfig(opt, rec))
-	if err != nil {
-		return nil, err
-	}
-	if hit {
-		rec.Add(obs.CtrJoinCoreHit, 1)
-	} else {
-		rec.Add(obs.CtrJoinCoreMiss, 1)
-	}
-	return c, nil
-}
-
-func (db *DB) run(ctx context.Context, parsed *sql.Query, opt Options, rec *obs.Recorder) (*Answer, error) {
-	priv := schema.PrivateSpec{Primary: opt.Primary}
-	stopPlan := rec.Time(obs.StagePlan)
-	p, err := plan.Build(parsed, db.schema, priv)
-	stopPlan()
-	if err != nil {
-		return nil, err
-	}
-	choice, err := chooseFor(p, opt, false)
-	if err != nil {
-		return nil, err
-	}
-	if opt.AllowNegativeSum && parsed.Agg == sql.AggSum {
-		return db.runSigned(ctx, p, opt, rec, choice)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, err := db.coreFor(ctx, p, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	res, err := c.Result(p, rec)
-	if err != nil {
-		return nil, err
-	}
-	return db.privatize(ctx, res, opt, rec, choice)
-}
-
-// chooseFor resolves Options.Mechanism against the query's structure: a pure
-// function of the plan shape and the public parameters, so the decision is
-// identical on neighboring datasets (DESIGN.md §15). It runs before any
-// evaluation — and, in budget-charging callers, before any ε charge — so an
-// inapplicable explicit mechanism can never burn budget.
-func chooseFor(p *plan.Plan, opt Options, groupBy bool) (*mech.Choice, error) {
-	return mech.Choose(mech.Shape{
-		SelfJoin:   p.SelfJoin(),
-		Projection: len(p.ProjVars) > 0,
-		SignedSum:  opt.AllowNegativeSum && p.Agg == sql.AggSum,
-		GroupBy:    groupBy,
-		Atoms:      len(p.Atoms),
-	}, mech.Config{
-		Mechanism:   opt.Mechanism,
-		Epsilon:     opt.Epsilon,
-		GSQ:         opt.GSQ,
-		Beta:        opt.Beta,
-		FixedTau:    opt.FixedTau,
-		ErrorTarget: opt.ErrorTarget,
-	})
-}
-
-// newTruncator builds the query's truncation operator, timed as the
-// truncation-build stage and wired to the recorder for solver counters. With
-// naive=false it builds the LP operator — or, when the capacity rows
-// partition the variables and Options.DisableFastPath is off, the closed-form
-// partition truncator, which is bit-identical to the LP on every value.
-func newTruncator(res *exec.Result, naive bool, opt Options, rec *obs.Recorder) (truncation.Truncator, error) {
-	stopBuild := rec.Time(obs.StageTruncationBuild)
-	defer stopBuild()
-	if naive {
-		nt, err := truncation.NewNaive(res)
-		if err != nil {
-			return nil, fmt.Errorf("r2t: naive truncation requested but not applicable: %w", err)
-		}
-		return nt, nil
-	}
-	occ := truncation.FromResult(res)
-	if !opt.DisableFastPath {
-		if pt := truncation.NewPartitionFromOccurrences(occ); pt != nil {
-			pt.SetRecorder(rec)
-			rec.Add(obs.CtrPartitionFastPath, 1)
-			return pt, nil
-		}
-	}
-	lt := truncation.NewLPFromOccurrences(occ)
-	lt.SetRecorder(rec)
-	return lt, nil
-}
-
-// privatize runs the chosen release mechanism over an evaluated query.
-func (db *DB) privatize(ctx context.Context, res *exec.Result, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
-	be, ok := mech.ByName(choice.Mech)
-	if !ok {
-		return nil, fmt.Errorf("r2t: no backend implements mechanism %q", choice.Mech)
-	}
-	var tr truncation.Truncator
-	switch kind := be.Truncator(); {
-	case kind == mech.TruncNaive || (kind == mech.TruncLP && opt.Naive):
-		var err error
-		if tr, err = newTruncator(res, true, opt, rec); err != nil {
-			return nil, err
-		}
-	case kind == mech.TruncLP:
-		var err error
-		if tr, err = newTruncator(res, false, opt, rec); err != nil {
+	if budget != nil {
+		if err := budget.Spend(opt.Epsilon); err != nil {
 			return nil, err
 		}
 	}
-	noise := opt.Noise
-	if noise == nil {
-		// core.Run defaults its own source the same way; doing it here covers
-		// the backends that draw noise without going through core.Run.
-		noise = dp.NewSource(dp.CryptoSeed())
-	}
-	out, err := be.Run(tr, mech.Params{
-		Epsilon:   opt.Epsilon,
-		GSQ:       opt.GSQ,
-		Beta:      opt.Beta,
-		Noise:     noise,
-		Rec:       rec,
-		Answer:    res.TrueAnswer(),
-		FixedTau:  opt.FixedTau,
-		EarlyStop: opt.EarlyStop,
-		Workers:   opt.Workers,
-		Interrupt: ctx.Done(),
-		Degrade:   opt.Degrade,
-	})
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	return &Answer{
-		Estimate:    out.Estimate,
-		Degraded:    out.Degraded,
-		TrueAnswer:  res.TrueAnswer(),
-		TauStar:     res.MaxTupleSensitivity(),
-		WinnerTau:   out.WinnerTau,
-		Races:       out.Races,
-		NumResults:  len(res.Rows),
-		Individuals: res.NumIndividuals(),
-		Duration:    out.Duration,
-		Mechanism:   choice.Mech,
-		MechReason:  choice.Reason,
-		MechBound:   choice.ErrorBound,
-	}, nil
-}
-
-// runSigned answers a SUM query with possibly negative weights by splitting
-// it into non-negative halves (Q = Q⁺ − Q⁻), running R2T on each with half
-// the budget, and releasing the difference — ε-DP by basic composition and
-// post-processing.
-func (db *DB) runSigned(ctx context.Context, p *plan.Plan, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c, err := db.coreFor(ctx, p, opt, rec)
+	units, err := db.Evaluate(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	pos, neg, err := c.SplitResult(p, rec)
+	answers, err := p.Release(ctx, units, opt.Noise)
 	if err != nil {
 		return nil, err
 	}
-	return db.privatizeSigned(ctx, pos, neg, opt, rec, choice)
-}
-
-// taggedRaces copies races with their Half tag set, so a signed split's
-// concatenated diagnostics stay attributable to the half they came from.
-func taggedRaces(dst []Race, races []Race, half string) []Race {
-	for _, r := range races {
-		r.Half = half
-		dst = append(dst, r)
-	}
-	return dst
-}
-
-// privatizeSigned releases Q⁺ − Q⁻ from the two halves of a signed split,
-// each privatized with half the budget. Diagnostics report both halves:
-// WinnerTau/WinnerTauNeg are the per-half winners, Races carries every race
-// tagged with its half, and TauStar is the max over the two halves. Only r2t
-// composes over the split (the chooser enforces this structurally), so both
-// halves run the R2T core directly.
-func (db *DB) privatizeSigned(ctx context.Context, pos, neg *exec.Result, opt Options, rec *obs.Recorder, choice *mech.Choice) (*Answer, error) {
-	cfg := core.Config{
-		Epsilon:   opt.Epsilon / 2,
-		Beta:      opt.Beta,
-		GSQ:       opt.GSQ,
-		Noise:     opt.Noise,
-		EarlyStop: opt.EarlyStop,
-		Workers:   opt.Workers,
-		Interrupt: ctx.Done(),
-		Degrade:   opt.Degrade,
-		Recorder:  rec,
-	}
-	trPos, err := newTruncator(pos, opt.Naive, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	outPos, err := core.Run(trPos, cfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	trNeg, err := newTruncator(neg, opt.Naive, opt, rec)
-	if err != nil {
-		return nil, err
-	}
-	outNeg, err := core.Run(trNeg, cfg)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		return nil, err
-	}
-	tauStar := pos.MaxTupleSensitivity()
-	if ts := neg.MaxTupleSensitivity(); ts > tauStar {
-		tauStar = ts
-	}
-	races := taggedRaces(make([]Race, 0, len(outPos.Races)+len(outNeg.Races)), outPos.Races, "+")
-	races = taggedRaces(races, outNeg.Races, "-")
-	ans := &Answer{
-		Estimate:     outPos.Estimate - outNeg.Estimate,
-		Degraded:     outPos.Degraded || outNeg.Degraded,
-		TrueAnswer:   pos.TrueAnswer() - neg.TrueAnswer(),
-		TauStar:      tauStar,
-		WinnerTau:    outPos.WinnerTau,
-		WinnerTauNeg: outNeg.WinnerTau,
-		Races:        races,
-		NumResults:   len(pos.Rows) + len(neg.Rows),
-		Individuals:  pos.NumIndividuals() + neg.NumIndividuals(),
-		Duration:     outPos.Duration + outNeg.Duration,
-		Mechanism:    mech.MechR2T,
-	}
-	if choice != nil {
-		ans.MechReason = choice.Reason
-		ans.MechBound = choice.ErrorBound
-	}
-	return ans, nil
+	answers[0].Duration = time.Since(start)
+	return answers[0], nil
 }
 
 // ErrorBound returns the Theorem 5.1 utility bound for the given options and
