@@ -15,7 +15,6 @@ import (
 	"r2t/internal/experiments"
 	"r2t/internal/graph"
 	"r2t/internal/lp"
-	"r2t/internal/mech"
 	"r2t/internal/plan"
 	"r2t/internal/schema"
 	"r2t/internal/sql"
@@ -191,7 +190,7 @@ func BenchmarkRMGreedy(b *testing.B) {
 	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Triangles)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mech.RM(occ, 0.8, dp.NewSource(int64(i)))
+		experiments.RM(occ, 0.8, dp.NewSource(int64(i)))
 	}
 }
 
@@ -233,118 +232,6 @@ func BenchmarkAblationNoDecompose(b *testing.B) {
 
 // BenchmarkAblationNoCrash starts the simplex from x = 0.
 func BenchmarkAblationNoCrash(b *testing.B) { benchAblationSolve(b, lpOptions{NoCrash: true}) }
-
-// --- τ-grid benchmarks (cold per-race pipeline vs amortized GridSolver) ---
-
-// BenchmarkR2TGrid measures a full race grid (every τ R2T would solve) per
-// workload, in two modes: "cold" rebuilds and solves one LP per race the
-// pre-grid way; "grid" routes the schedule through the shared-skeleton
-// GridSolver. cmd/benchjson runs the same workloads and records the numbers
-// in BENCH_R2T.json.
-func BenchmarkR2TGrid(b *testing.B) {
-	workloads, err := experiments.GridWorkloads(0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range workloads {
-		w := &workloads[i]
-		b.Run(w.Name+"/cold", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.SolveCold(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/grid", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.SolveGrid(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/grid-warm", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.SolveGridWarm(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// --- join-executor benchmarks (legacy map-based joins vs indexed executor) ---
-
-// BenchmarkExecJoin measures the join executor per workload in three modes:
-// "baseline" is the pre-index executor (per-row map[string][]int probes and a
-// fresh []value.V per candidate row); "serial" is the indexed, slab-allocated
-// executor with one worker; "parallel" adds the chunked probe at GOMAXPROCS
-// workers. All three produce bit-identical results (see parallel_test.go);
-// cmd/benchjson runs the same workloads and records BENCH_EXEC.json.
-func BenchmarkExecJoin(b *testing.B) {
-	workloads, err := experiments.ExecWorkloads(0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range workloads {
-		w := &workloads[i]
-		b.Run(w.Name+"/baseline", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunBaseline(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/serial", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/parallel", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.Run(0); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkGroupBy measures the group-by evaluation strategies: "per-group"
-// runs one predicated join per group (G joins, the pre-PR QueryGroupBy);
-// "single-join" runs the join once and partitions rows by group value.
-func BenchmarkGroupBy(b *testing.B) {
-	workloads, err := experiments.GroupByWorkloads(0.05)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := range workloads {
-		w := &workloads[i]
-		b.Run(w.Name+"/per-group", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunPerGroup(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(w.Name+"/single-join", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := w.RunSingleJoin(1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
 
 // BenchmarkTPCHGenerate measures the synthetic data generator.
 func BenchmarkTPCHGenerate(b *testing.B) {

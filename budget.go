@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 )
 
@@ -24,6 +25,10 @@ type Budget struct {
 	spent float64
 }
 
+// isFinite reports whether x is neither NaN nor ±Inf. Budget arithmetic must
+// never see a non-finite value: spent+NaN > total is false forever after.
+func isFinite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+
 // NewBudget creates a budget with the given total ε (> 0).
 func NewBudget(totalEpsilon float64) (*Budget, error) {
 	return NewBudgetWithSpent(totalEpsilon, 0)
@@ -35,11 +40,11 @@ func NewBudget(totalEpsilon float64) (*Budget, error) {
 // exceed totalEpsilon (e.g. the configured total was lowered between
 // restarts); such a budget is simply exhausted.
 func NewBudgetWithSpent(totalEpsilon, spent float64) (*Budget, error) {
-	if totalEpsilon <= 0 {
-		return nil, fmt.Errorf("r2t: budget must be positive, got %g", totalEpsilon)
+	if !isFinite(totalEpsilon) || totalEpsilon <= 0 {
+		return nil, fmt.Errorf("r2t: budget must be positive and finite, got %g", totalEpsilon)
 	}
-	if spent < 0 {
-		return nil, fmt.Errorf("r2t: replayed spend must be non-negative, got %g", spent)
+	if !isFinite(spent) || spent < 0 {
+		return nil, fmt.Errorf("r2t: replayed spend must be finite and non-negative, got %g", spent)
 	}
 	return &Budget{total: totalEpsilon, spent: spent}, nil
 }
@@ -65,8 +70,8 @@ func (b *Budget) Spend(eps float64) error { return b.SpendWith(eps, nil) }
 // crash can lose an unlogged admission attempt but can never admit a charge
 // that was not durably logged first. A nil commit reduces to Spend.
 func (b *Budget) SpendWith(eps float64, commit func() error) error {
-	if eps <= 0 {
-		return fmt.Errorf("r2t: cannot spend non-positive ε %g", eps)
+	if !isFinite(eps) || eps <= 0 {
+		return fmt.Errorf("r2t: cannot spend non-positive or non-finite ε %g", eps)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -89,8 +94,8 @@ func (b *Budget) SpendWith(eps float64, commit func() error) error {
 // view must reflect it even past the local total (the budget then simply
 // reads exhausted, exactly like an over-replayed ledger at startup).
 func (b *Budget) AddSpent(eps float64) error {
-	if eps <= 0 {
-		return fmt.Errorf("r2t: cannot add non-positive replicated spend %g", eps)
+	if !isFinite(eps) || eps <= 0 {
+		return fmt.Errorf("r2t: cannot add non-positive or non-finite replicated spend %g", eps)
 	}
 	b.mu.Lock()
 	defer b.mu.Unlock()

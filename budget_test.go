@@ -2,6 +2,8 @@ package r2t
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -30,6 +32,30 @@ func TestBudgetAccounting(t *testing.T) {
 	}
 	if _, err := NewBudget(0); err == nil {
 		t.Fatal("zero budget should fail")
+	}
+
+	// Non-finite values never reach the arithmetic: spent+NaN > total is
+	// false, so one admitted NaN would admit every later charge.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		committed := false
+		if err := b.SpendWith(v, func() error { committed = true; return nil }); err == nil || committed {
+			t.Fatalf("SpendWith(%g): err %v, commit hook ran %v", v, err, committed)
+		}
+		if err := b.AddSpent(v); err == nil {
+			t.Fatalf("AddSpent(%g) accepted", v)
+		}
+		if _, err := NewBudgetWithSpent(v, 0); err == nil {
+			t.Fatalf("NewBudgetWithSpent(%g, 0) accepted", v)
+		}
+		if _, err := NewBudgetWithSpent(1, v); err == nil {
+			t.Fatalf("NewBudgetWithSpent(1, %g) accepted", v)
+		}
+		if spent, rem := b.Balance(); spent != 1 || rem != 0 {
+			t.Fatalf("after rejecting %g: spent %g, remaining %g", v, spent, rem)
+		}
+		if err := b.Spend(0.01); !errors.Is(err, ErrBudgetExhausted) {
+			t.Fatalf("after rejecting %g the exhausted budget admitted a spend: %v", v, err)
+		}
 	}
 }
 
@@ -167,6 +193,19 @@ func TestBudgetReplay(t *testing.T) {
 	}
 }
 
+// nonFiniteFields are the Options fields a NaN or ±Inf must be rejected in,
+// each set in a context where a finite value would be accepted.
+var nonFiniteFields = []struct {
+	name string
+	set  func(*Options, float64)
+}{
+	{"epsilon", func(o *Options, v float64) { o.Epsilon = v }},
+	{"GSQ", func(o *Options, v float64) { o.GSQ = v }},
+	{"beta", func(o *Options, v float64) { o.Beta = v }},
+	{"error target", func(o *Options, v float64) { o.Mechanism, o.ErrorTarget = "auto", v }},
+	{"fixed tau", func(o *Options, v float64) { o.Mechanism, o.FixedTau = "fixed-tau", v }},
+}
+
 // TestInvalidOptionsNeverCharge is the regression test for the shared
 // Options.Validate: no invalid-option path may reach the budget. Before
 // validation was unified, QueryWithBudget re-implemented only part of
@@ -176,10 +215,11 @@ func TestInvalidOptionsNeverCharge(t *testing.T) {
 	db := graphDB(t, [][2]int64{{0, 1}, {1, 2}}, 3)
 	valid := Options{Epsilon: 0.5, GSQ: 16, Primary: []string{"Node"}, Noise: NewNoiseSource(1)}
 
-	invalid := []struct {
+	type invalidCase struct {
 		name   string
 		mutate func(*Options)
-	}{
+	}
+	invalid := []invalidCase{
 		{"zero epsilon", func(o *Options) { o.Epsilon = 0 }},
 		{"negative epsilon", func(o *Options) { o.Epsilon = -1 }},
 		{"small GSQ", func(o *Options) { o.GSQ = 1 }},
@@ -194,6 +234,13 @@ func TestInvalidOptionsNeverCharge(t *testing.T) {
 		{"fixed tau without fixed-tau", func(o *Options) { o.FixedTau = 4 }},
 		{"fixed tau above GSQ", func(o *Options) { o.Mechanism = "fixed-tau"; o.FixedTau = 32 }},
 	}
+	// Non-finite values: every ordered comparison with NaN is false, so a
+	// "x <= 0" style check alone lets them through to the budget arithmetic.
+	for _, f := range nonFiniteFields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			invalid = append(invalid, invalidCase{fmt.Sprintf("%s %g", f.name, v), func(o *Options) { f.set(o, v) }})
+		}
+	}
 	for _, c := range invalid {
 		t.Run(c.name, func(t *testing.T) {
 			b := MustBudget(1)
@@ -205,8 +252,12 @@ func TestInvalidOptionsNeverCharge(t *testing.T) {
 			if _, err := db.QueryWithBudget(edgeCount, opt, b); err == nil {
 				t.Fatal("QueryWithBudget accepted invalid options")
 			}
-			if spent := b.Spent(); spent != 0 {
-				t.Fatalf("invalid options charged ε=%g", spent)
+			if spent, rem := b.Balance(); spent != 0 || rem != 1 {
+				t.Fatalf("invalid options charged: spent %g, remaining %g", spent, rem)
+			}
+			// The budget still bounds later spends.
+			if err := b.Spend(2); !errors.Is(err, ErrBudgetExhausted) {
+				t.Fatalf("over-budget spend after the rejection: %v, want ErrBudgetExhausted", err)
 			}
 			// Query must agree with Validate so the two can't drift.
 			if _, err := db.Query(edgeCount, opt); err == nil {

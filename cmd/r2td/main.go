@@ -71,6 +71,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // pprof handlers on DefaultServeMux, served only on -pprof-addr
 	"os"
@@ -127,8 +128,10 @@ func parseDatasetFlag(v string) (server.DatasetConfig, error) {
 		case "data":
 			cfg.DataDir = val
 		case "eps":
+			// ParseFloat accepts "NaN" and "Inf"; a non-finite total is a
+			// budget that can never be exhausted.
 			eps, err := strconv.ParseFloat(val, 64)
-			if err != nil {
+			if err != nil || math.IsNaN(eps) || math.IsInf(eps, 0) {
 				return cfg, fmt.Errorf("dataset %q: bad eps %q", cfg.Name, val)
 			}
 			cfg.Epsilon = eps

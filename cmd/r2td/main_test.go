@@ -34,6 +34,8 @@ func TestParseDatasetFlag(t *testing.T) {
 		{"name=g,schema=s", "positive eps="},
 		{"name=g,schema=s,eps=-1", "positive eps="},
 		{"name=g,schema=s,eps=zero", "bad eps"},
+		{"name=g,schema=s,eps=NaN", "bad eps"},
+		{"name=g,schema=s,eps=Inf", "bad eps"},
 		{"name=g,schema=s,eps=1,color=red", "unknown key"},
 		{"name=g,schema=s,eps=1,primarynode", "want key=value"},
 	}

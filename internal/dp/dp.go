@@ -118,8 +118,7 @@ func Log2Ceil(x float64) int {
 // L = Log2Ceil(gsq) — the τ schedule of Algorithm 1 and the candidate set of
 // Section 10.1. core.Run and the mechanism portfolio both build their grids
 // here, so the racing mechanism and the baselines can never disagree on grid
-// geometry (mech.TauGrid used to stop at 2^⌊log₂ GS_Q⌋ and under-covered
-// non-power-of-two promises).
+// geometry; a non-power-of-two promise is covered from above.
 func TauGrid(gsq float64) []float64 {
 	n := Log2Ceil(gsq)
 	out := make([]float64, n)

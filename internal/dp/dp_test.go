@@ -179,3 +179,14 @@ func TestSVTStopsAtLargeValue(t *testing.T) {
 		t.Errorf("SVT stopped early in %d/%d trials", early, trials)
 	}
 }
+
+func TestTauGrid(t *testing.T) {
+	grid := TauGrid(256)
+	if len(grid) != 8 || grid[0] != 2 || grid[7] != 256 {
+		t.Fatalf("grid = %v", grid)
+	}
+	// A non-power-of-two promise is covered from above.
+	if grid := TauGrid(300); len(grid) != 9 || grid[8] != 512 {
+		t.Fatalf("grid(300) = %v", grid)
+	}
+}

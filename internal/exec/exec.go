@@ -274,12 +274,11 @@ func RunPartitioned(p *plan.Plan, inst *storage.Instance, cfg Config, groupVar i
 	return assemblePartitions(p, full, rowPart, len(groups)), nil
 }
 
-// runOpts selects executor variants that all produce bit-identical rows.
+// runOpts carries one run's parameters; none of them changes the row order.
 type runOpts struct {
 	allowNegative bool
 	workers       int
-	baseline      bool // use the frozen pre-optimization join path
-	groupVar      int  // -1: no partitioning
+	groupVar      int // -1: no partitioning
 	groupOf       map[value.V]int32
 	rec           *obs.Recorder // nil = profiling off
 }
@@ -340,16 +339,10 @@ func runCore(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Core, error) {
 		snaps[i] = tableSnap{tbl: t, rows: rows, version: ver}
 	}
 
-	// Compile the residual filters. The baseline executor keeps its own
-	// frozen predicate compiler so its numbers reflect the pre-optimization
-	// engine end to end.
-	compilePred := compileBool
-	if opt.baseline {
-		compilePred = compileBoolBaseline
-	}
+	// Compile the residual filters.
 	filters := make([]boolFn, len(p.Filters))
 	for i, f := range p.Filters {
-		fn, err := compilePred(f.Expr, p)
+		fn, err := compileBool(f.Expr, p)
 		if err != nil {
 			return nil, err
 		}
@@ -402,11 +395,7 @@ func runCore(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Core, error) {
 	for si, st := range steps {
 		snap := snaps[st.atom]
 		opt.rec.Add(obs.CtrExecRowsProbed, int64(len(current)))
-		if opt.baseline {
-			current = joinStepBaseline(current, st, snap.rows, filterAt[si], p.NumVars)
-		} else {
-			current = joinStepExec(current, &steps[si], snap, filterAt[si], p.NumVars, workers, opt.rec)
-		}
+		current = joinStepExec(current, &steps[si], snap, filterAt[si], p.NumVars, workers, opt.rec)
 		opt.rec.Add(obs.CtrExecRowsOut, int64(len(current)))
 		if len(current) == 0 {
 			break

@@ -1,6 +1,9 @@
 package exec
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 	"math/rand"
@@ -8,17 +11,19 @@ import (
 	"strings"
 	"testing"
 
+	"r2t/internal/graph"
 	"r2t/internal/plan"
 	"r2t/internal/schema"
 	"r2t/internal/sql"
 	"r2t/internal/storage"
+	"r2t/internal/tpch"
 	"r2t/internal/value"
 )
 
 // requireSameExact asserts got is bit-identical to want: same rows in the
 // same order (ψ bits included), same interned universe and per-row ids, and
-// the same projection structure. This is the contract between the optimized
-// executor and the frozen baseline.
+// the same projection structure. This is the contract between two runs of
+// the same plan over the same rows, whatever the worker count or cache state.
 func requireSameExact(t *testing.T, tag string, want, got *Result) {
 	t.Helper()
 	if len(got.Rows) != len(want.Rows) {
@@ -232,8 +237,8 @@ var starQueries = []string{
 // TestExecEquivalenceRandomized is the randomized cross-check harness: on
 // generated instances of two schema families, the optimized executor must
 // match the nested-loop oracle as a multiset (rows, provenance, projection
-// partitions, sensitivities) and the frozen baseline bit-for-bit (row order
-// included) for every worker count.
+// partitions, sensitivities), and every worker count must reproduce the
+// serial run bit-for-bit (row order included): Workers: 1 defines the order.
 func TestExecEquivalenceRandomized(t *testing.T) {
 	type trial struct {
 		p    *plan.Plan
@@ -288,24 +293,24 @@ func TestExecEquivalenceRandomized(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: oracle: %v", tr.tag, err)
 		}
-		base, err := RunBaseline(tr.p, tr.inst)
+		serial, err := RunConfig(tr.p, tr.inst, Config{Workers: 1})
 		if err != nil {
-			t.Fatalf("%s: baseline: %v", tr.tag, err)
+			t.Fatalf("%s: serial: %v", tr.tag, err)
 		}
-		requireSameMultiset(t, tr.tag+" baseline-vs-oracle", oracle, base)
-		for _, w := range []int{1, 4, 8} {
+		requireSameMultiset(t, tr.tag+" serial-vs-oracle", oracle, serial)
+		for _, w := range []int{4, 8} {
 			got, err := RunConfig(tr.p, tr.inst, Config{Workers: w})
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tr.tag, w, err)
 			}
-			requireSameExact(t, fmt.Sprintf("%s workers=%d", tr.tag, w), base, got)
+			requireSameExact(t, fmt.Sprintf("%s workers=%d", tr.tag, w), serial, got)
 		}
 	}
 }
 
 // TestExecWorkersBitIdenticalLarge drives a row count big enough for real
 // chunking (multiple chunks per worker) and checks bit-identity against the
-// baseline on the standard triangle workload.
+// serial run on the standard triangle workload.
 func TestExecWorkersBitIdenticalLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	n := 120
@@ -320,51 +325,128 @@ func TestExecWorkersBitIdenticalLarge(t *testing.T) {
 	inst := graphInstance(n, edges)
 	for _, src := range []string{edgeCountSQL, triangleSQL} {
 		p := mustPlan(t, src, graphSchema(), []string{"Node"})
-		base, err := RunBaseline(p, inst)
+		serial, err := RunConfig(p, inst, Config{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(base.Rows) == 0 {
+		if len(serial.Rows) == 0 {
 			t.Fatalf("%q: workload produced no rows", src)
 		}
-		for _, w := range []int{1, 4, 8} {
+		for _, w := range []int{4, 8} {
 			got, err := RunConfig(p, inst, Config{Workers: w})
 			if err != nil {
 				t.Fatal(err)
 			}
-			requireSameExact(t, fmt.Sprintf("%q workers=%d", src, w), base, got)
+			requireSameExact(t, fmt.Sprintf("%q workers=%d", src, w), serial, got)
+		}
+	}
+}
+
+// resultDigest hashes everything downstream consumers observe of a result,
+// in order: per row the ψ bits and the resolved individuals, then the
+// projection groups (ψ bits and member row indices).
+func resultDigest(res *Result) string {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(v uint64) {
+		binary.BigEndian.PutUint64(buf[:], v)
+		h.Write(buf[:])
+	}
+	put(uint64(len(res.Rows)))
+	for k := range res.Rows {
+		put(math.Float64bits(res.Rows[k].Psi))
+		refs := res.Refs(k)
+		put(uint64(len(refs)))
+		for _, ref := range refs {
+			fmt.Fprintf(h, "%s;", ref)
+		}
+	}
+	put(uint64(len(res.Groups)))
+	for l, group := range res.Groups {
+		put(math.Float64bits(res.GroupPsi[l]))
+		put(uint64(len(group)))
+		for _, k := range group {
+			put(uint64(k))
+		}
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestExecRowOrderPinned pins the executor's absolute row order to frozen
+// output rather than frozen code. The digests were recorded at commit 522150e
+// from the pre-optimization map-based serial executor, which the change that
+// added this test deleted — so they carry the order every executor since the
+// first has had to reproduce. A deliberate order change (a new join
+// ordering, say) re-records them; an accidental one fails here.
+func TestExecRowOrderPinned(t *testing.T) {
+	social := graph.GenSocial(300, 1200, 64, 3)
+	ginst := storage.NewInstance(graphSchema())
+	for u := 0; u < social.N; u++ {
+		ginst.MustInsert("Node", storage.Row{value.IntV(int64(u))})
+		for _, v := range social.Adj[u] {
+			ginst.MustInsert("Edge", storage.Row{value.IntV(int64(u)), value.IntV(int64(v))})
+		}
+	}
+	q3 := tpch.QueryByName("Q3")
+	for _, f := range []struct {
+		name   string
+		p      *plan.Plan
+		inst   *storage.Instance
+		rows   int
+		digest string
+	}{
+		{"graph-triangles", mustPlan(t, triangleSQL, graphSchema(), []string{"Node"}), ginst,
+			297, "f8fc010806d6e9d2ed6f4950db6e23a7a8ed0f34fa17a9d73ba2b78ce87a8c5f"},
+		{"tpch-q3", mustPlan(t, q3.SQL, tpch.Schema(), q3.Primary), tpch.Generate(tpch.GenOptions{SF: 0.25, Seed: 1}),
+			377, "4944367aa65692acad25a4801f6be392262cc456e5477c35acd6f0c36464dbba"},
+	} {
+		for _, w := range []int{1, 4, 8} {
+			got, err := RunConfig(f.p, f.inst, Config{Workers: w})
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", f.name, w, err)
+			}
+			if len(got.Rows) != f.rows {
+				t.Fatalf("%s workers=%d: %d rows, want %d", f.name, w, len(got.Rows), f.rows)
+			}
+			if d := resultDigest(got); d != f.digest {
+				t.Fatalf("%s workers=%d: row-order digest %s, want %s", f.name, w, d, f.digest)
+			}
 		}
 	}
 }
 
 // TestExecSmallSideBuild forces the build-on-current path (tiny probe side,
 // ≥1024-row table) and the cached-index path (large probe side), asserting
-// both match the baseline exactly.
+// both match the oracle's content and the serial run's order.
 func TestExecSmallSideBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	src := `SELECT COUNT(*) FROM A a1, B WHERE B.a = a1.ID AND B.y < 4`
 	for _, nA := range []int{5, 600} { // 5: build-current; 600: cached table index
 		inst := randomStarInstance(rng, nA, 3000, 0)
 		p := mustPlan(t, src, starSchema(), []string{"A"})
-		base, err := RunBaseline(p, inst)
+		oracle, err := RunReference(p, inst)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(base.Rows) == 0 {
+		if len(oracle.Rows) == 0 {
 			t.Fatalf("nA=%d: workload produced no rows", nA)
 		}
-		for _, w := range []int{1, 4} {
-			got, err := RunConfig(p, inst, Config{Workers: w})
-			if err != nil {
-				t.Fatal(err)
-			}
-			requireSameExact(t, fmt.Sprintf("nA=%d workers=%d", nA, w), base, got)
+		serial, err := RunConfig(p, inst, Config{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		requireSameMultiset(t, fmt.Sprintf("nA=%d serial-vs-oracle", nA), oracle, serial)
+		got, err := RunConfig(p, inst, Config{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameExact(t, fmt.Sprintf("nA=%d workers=4", nA), serial, got)
 	}
 }
 
 // TestIndexCacheInvalidatedOnInsert runs a query twice around an insert: the
-// second run must see the new rows, not a stale cached index.
+// second run must see the new rows, not a stale cached index, and must equal
+// a run over a from-scratch copy of the instance (no cache history).
 func TestIndexCacheInvalidatedOnInsert(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	inst := randomStarInstance(rng, 50, 200, 0)
@@ -382,11 +464,16 @@ func TestIndexCacheInvalidatedOnInsert(t *testing.T) {
 	if second.TrueAnswer() != first.TrueAnswer()+1 {
 		t.Fatalf("after insert: answer %g, want %g (stale cached index?)", second.TrueAnswer(), first.TrueAnswer()+1)
 	}
-	base, err := RunBaseline(p, inst)
+	scratch, err := Run(p, inst.Clone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameExact(t, "post-insert", base, second)
+	requireSameExact(t, "post-insert", scratch, second)
+	oracle, err := RunReference(p, inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameMultiset(t, "post-insert vs oracle", oracle, second)
 }
 
 // TestRunPartitionedMatchesPredicatedRuns checks the single-join group-by
@@ -429,7 +516,7 @@ func TestRunPartitionedMatchesPredicatedRuns(t *testing.T) {
 		}
 		for i, g := range groups {
 			predicated := fmt.Sprintf("%s AND c.region = '%s'", src, g.S)
-			want, err := RunBaseline(mustPlan(t, predicated, s, []string{"Customer"}), inst)
+			want, err := RunConfig(mustPlan(t, predicated, s, []string{"Customer"}), inst, Config{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

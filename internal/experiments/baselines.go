@@ -1,61 +1,29 @@
-// Package mech implements the baseline mechanisms R2T is compared against in
-// Section 10:
+// The graph-pattern baselines R2T is compared against in Section 10 (Table 2).
+// They are experimental comparators, not release mechanisms of the library:
+// the production portfolio lives in internal/mech.
 //
-//   - NaiveLaplace — the textbook Laplace mechanism at global sensitivity.
-//   - LPFixedTau   — the LP-based truncation mechanism of Kasiviswanathan et
-//     al. [22] with an externally supplied τ (Table 3 shows why
-//     fixing τ is hopeless).
-//   - LS           — the local-sensitivity SVT mechanism of Tao et al. [37]
-//     for self-join-free queries, as analysed in Appendix A.
-//   - NT           — naive truncation by degree + smooth sensitivity [22]
-//     (graph pattern counting under node-DP).
-//   - SDE          — the smooth distance estimator of Blocki et al. [8].
-//   - RM           — a stand-in for the recursive mechanism [9]: a greedy
-//     inverse-sensitivity mechanism that reproduces RM's
-//     accuracy/cost profile (very accurate, very slow). It is a
-//     documented simplification, not a faithful port — see
-//     DESIGN.md §4.
+//   - NT  — naive truncation by degree + smooth sensitivity [22] (graph
+//     pattern counting under node-DP).
+//   - SDE — the smooth distance estimator of Blocki et al. [8].
+//   - RM  — a stand-in for the recursive mechanism [9]: a greedy
+//     inverse-sensitivity mechanism that reproduces RM's accuracy/cost
+//     profile (very accurate, very slow). It is a documented simplification,
+//     not a faithful port — see DESIGN.md §4.
 //
 // NT and SDE follow the papers' constructions with conservative β-smooth
 // upper bounds computed from the degree histogram; their utility behaviour
 // (error often exceeding the query answer unless ε is very large) matches
 // the paper's findings by construction.
-package mech
+
+package experiments
 
 import (
 	"math"
-	"sort"
 
 	"r2t/internal/dp"
 	"r2t/internal/graph"
 	"r2t/internal/truncation"
 )
-
-// NaiveLaplace releases answer + Lap(gsq/ε) — worst-case calibrated noise.
-func NaiveLaplace(answer, gsq, eps float64, src dp.NoiseSource) float64 {
-	return answer + src.Laplace(gsq/eps)
-}
-
-// LPFixedTau is the LP-based truncation mechanism with a fixed τ [22]:
-// Q(I,τ) + Lap(τ/ε). Unlike R2T it spends the whole budget on one τ — and
-// pays the full bias of that choice.
-func LPFixedTau(tr *truncation.LPTruncator, tau, eps float64, src dp.NoiseSource) (float64, error) {
-	v, err := tr.Value(tau)
-	if err != nil {
-		return 0, err
-	}
-	return v + src.Laplace(tau/eps), nil
-}
-
-// LS is the local-sensitivity based mechanism of Tao et al. [37] for
-// self-join-free queries (Appendix A): it privatizes the query once at
-// global-sensitivity scale, runs an SVT over geometrically increasing τ to
-// find where naive truncation stops losing mass, and releases the truncated
-// value with noise τ/ε. The budget is split ε/4 + ε/2 + ε/4.
-func LS(nt *truncation.NaiveTruncator, gsq, eps float64, src dp.NoiseSource) (float64, error) {
-	est, _, err := ls(nt, gsq, eps, src, nil)
-	return est, err
-}
 
 // NT is naive truncation with smooth sensitivity [22] for graph pattern
 // counting under node-DP: delete nodes of degree > θ, count the pattern,
@@ -169,7 +137,7 @@ func greedyProjectionDistance(g *graph.Graph, theta int) int {
 	}
 }
 
-// RM is the recursive-mechanism stand-in (see the package comment): a greedy
+// RM is the recursive-mechanism stand-in (see the file comment): a greedy
 // inverse-sensitivity mechanism. It repeatedly removes the individual with
 // the largest remaining sensitivity, recording the query value v_k after k
 // removals, then samples k by the exponential mechanism with utility −k and
@@ -250,18 +218,4 @@ func RandomTheta(d int, src dp.NoiseSource) int {
 		idx = len(choices) - 1
 	}
 	return choices[idx]
-}
-
-// TauGrid returns {2, 4, …, 2^⌈log₂ GS_Q⌉}, the candidate τ set of Section
-// 10.1. It delegates to dp.TauGrid — the same grid core.Run races — so the
-// baselines and R2T can never disagree on grid geometry. (The old local copy
-// stopped at 2^⌊log₂ GS_Q⌋ and under-covered non-power-of-two promises.)
-func TauGrid(gsq float64) []float64 { return dp.TauGrid(gsq) }
-
-// SortDescending returns a copy of xs sorted high to low (shared helper for
-// the experiment tables).
-func SortDescending(xs []float64) []float64 {
-	out := append([]float64(nil), xs...)
-	sort.Sort(sort.Reverse(sort.Float64Slice(out)))
-	return out
 }

@@ -1,4 +1,4 @@
-package mech
+package experiments
 
 import (
 	"math"

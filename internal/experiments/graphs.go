@@ -95,19 +95,19 @@ func graphCell(cfg Config, g *graph.Graph, d graph.Dataset, p graph.Pattern, m s
 		case "R2T":
 			return runR2T(tr, gsq, eps, cfg.Beta, seed, true)
 		case "NT":
-			theta := mech.RandomTheta(d.D, src)
-			return mech.NT(g, p, theta, eps, src), nil
+			theta := RandomTheta(d.D, src)
+			return NT(g, p, theta, eps, src), nil
 		case "SDE":
-			theta := mech.RandomTheta(d.D, src)
-			return mech.SDE(g, p, theta, eps, src), nil
+			theta := RandomTheta(d.D, src)
+			return SDE(g, p, theta, eps, src), nil
 		case "LP":
 			// Random τ from {2,4,...,GSQ}, the Section 10.1 protocol.
-			grid := mech.TauGrid(gsq)
+			grid := dp.TauGrid(gsq)
 			tau := grid[int(float64(len(grid))*uniformFromSeed(seed))%len(grid)]
 			return mech.LPFixedTau(tr, tau, eps, src)
 		case "RM":
 			occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, p)}
-			return mech.RM(occ, eps, src), nil
+			return RM(occ, eps, src), nil
 		}
 		return 0, fmt.Errorf("unknown mechanism %q", m)
 	})

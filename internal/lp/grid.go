@@ -14,26 +14,17 @@
 //     split further (rows disappear as τ grows), so each per-τ component is
 //     recovered by a cheap array-based union-find inside its parent block —
 //     or, in the common all-rows-live case, reused verbatim from the cache.
-//   - Consecutive solves can warm-start the simplex: the optimum at a smaller
-//     τ stays feasible when capacities grow, so its at-upper-bound variables
-//     are re-flipped before pivoting begins. The simplex still runs to the
-//     exact optimum (R2T's privacy proof is a property of the optimum), and a
-//     warm run that exhausts its iteration budget falls back to a cold solve.
-//     Caveat: a warm start may terminate at a different vertex among alternate
-//     optima, whose floating-point objective can differ from the cold one at
-//     the ulp level; callers that must release bit-stable values (the R2T
-//     truncation path) solve with Options.NoWarmStart.
 //
-// SolveTau (and SolveSchedule with NoWarmStart) replays exactly the pipeline
-// of Solve — same presolve decisions, same component partition, same pivot
-// sequence — so its results are bitwise identical to a fresh Solve of the
-// materialized problem.
+// SolveTau and SolveSchedule replay exactly the pipeline of Solve — same
+// presolve decisions, same component partition, same pivot sequence — so
+// their results are bitwise identical to a fresh Solve of the materialized
+// problem (R2T's privacy proof is a property of the exact optimum, and the
+// released value must not depend on which entry point computed it).
 package lp
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"r2t/internal/fault"
 )
@@ -272,48 +263,36 @@ func (g *GridSolver) SolveTau(tau float64, opt Options) (*Solution, error) {
 	}
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	return g.solveTauWS(tau, opt, ws, nil)
+	return g.solveTauWS(tau, opt, ws)
 }
 
-// SolveSchedule solves the LP at every τ of the schedule, warm-starting each
-// solve from the optimum of the next-smaller τ (disable with
-// Options.NoWarmStart). Solutions are returned in the schedule's order.
+// SolveSchedule solves the LP at every τ of the schedule on one workspace;
+// each entry is bitwise identical to SolveTau at that τ. Solutions are
+// returned in the schedule's order.
 func (g *GridSolver) SolveSchedule(taus []float64, opt Options) ([]*Solution, error) {
 	for _, tau := range taus {
 		if err := validTau(tau); err != nil {
 			return nil, err
 		}
 	}
-	order := make([]int, len(taus))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool { return taus[order[a]] < taus[order[b]] })
-
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	out := make([]*Solution, len(taus))
-	var warmX []float64
-	for _, oi := range order {
+	for i, tau := range taus {
 		if err := fault.Check("lp.solve"); err != nil {
 			return nil, err
 		}
-		sol, err := g.solveTauWS(taus[oi], opt, ws, warmX)
+		sol, err := g.solveTauWS(tau, opt, ws)
 		if err != nil {
 			return nil, err
 		}
-		out[oi] = sol
-		if !opt.NoWarmStart {
-			warmX = sol.X
-		}
+		out[i] = sol
 	}
 	return out, nil
 }
 
-// solveTauWS is the per-τ engine. warmX, when non-nil, is a full primal
-// solution of the same structure at a smaller (or equal) τ; its at-upper-
-// bound variables seed each component's simplex.
-func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace, warmX []float64) (*Solution, error) {
+// solveTauWS is the per-τ engine.
+func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace) (*Solution, error) {
 	p := g.p
 	sol := &Solution{
 		Status: Optimal,
@@ -336,12 +315,12 @@ func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace, warmX [
 		}
 		if tau < comp.minSum {
 			// Every row live: the cached block is the exact per-τ component.
-			if err := g.solveBlock(comp, comp.vars, nil, tau, opt, ws, warmX, sol); err != nil {
+			if err := g.solveBlock(comp, comp.vars, nil, tau, opt, ws, sol); err != nil {
 				return nil, err
 			}
 			continue
 		}
-		if err := g.splitAndSolve(comp, tau, opt, ws, warmX, sol); err != nil {
+		if err := g.splitAndSolve(comp, tau, opt, ws, sol); err != nil {
 			return nil, err
 		}
 	}
@@ -352,7 +331,7 @@ func (g *GridSolver) solveTauWS(tau float64, opt Options, ws *workspace, warmX [
 // solveBlock solves one per-τ component. rowIDs lists the block's global row
 // ids (nil means all of comp.rows, reusing the cached localization); vars
 // lists the block's global variable ids, ascending.
-func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau float64, opt Options, ws *workspace, warmX []float64, sol *Solution) error {
+func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau float64, opt Options, ws *workspace, sol *Solution) error {
 	var (
 		n, m  int
 		c, ub []float64
@@ -385,19 +364,7 @@ func (g *GridSolver) solveBlock(comp *gridComp, vars []int, rowIDs []int, tau fl
 		yOut[0] = y
 		cs = &compSolution{status: Optimal, x: x, y: yOut}
 	} else {
-		var warm []bool
-		if warmX != nil {
-			warm = growB(&ws.warm, n)
-			for j, k := range vars {
-				warm[j] = warmX[k] == ub[j] && ub[j] > 0
-			}
-		}
-		cs, err = simplexSolveWS(n, m, c, ub, rows, opt, warm, ws)
-		if err == nil && warm != nil && cs.status != Optimal {
-			// Warm start failed to converge within the iteration budget:
-			// fall back to the cold solve, bit-identical to Solve.
-			cs, err = simplexSolveWS(n, m, c, ub, rows, opt, nil, ws)
-		}
+		cs, err = simplexSolveWS(n, m, c, ub, rows, opt, ws)
 	}
 	if err != nil {
 		return err
@@ -460,7 +427,7 @@ func buildLocalGrid(g *GridSolver, comp component, tau float64, ws *workspace) (
 // redundant at this τ, so the block splits into smaller live components and
 // freed variables fix at their upper bounds — exactly the refinement Solve's
 // presolve + decomposition would compute from scratch.
-func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws *workspace, warmX []float64, sol *Solution) error {
+func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws *workspace, sol *Solution) error {
 	p := g.p
 	nv := len(comp.vars)
 	local := growI(&ws.local, p.NumVars)
@@ -573,7 +540,7 @@ func (g *GridSolver) splitAndSolve(comp *gridComp, tau float64, opt Options, ws 
 	for blk := 0; blk < nBlocks; blk++ {
 		vars := blkVars[blkPtr[blk]:blkPtr[blk+1]]
 		rowIDs := blkRows[blkRowPtr[blk]:blkRowPtr[blk+1]]
-		if err := g.solveBlock(comp, vars, rowIDs, tau, opt, ws, warmX, sol); err != nil {
+		if err := g.solveBlock(comp, vars, rowIDs, tau, opt, ws, sol); err != nil {
 			return err
 		}
 	}

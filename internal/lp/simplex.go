@@ -13,11 +13,11 @@ type crashCand struct {
 }
 
 // simplexSolve runs the bounded-variable revised simplex with a fresh
-// workspace from the pool and no warm-start hint.
+// workspace from the pool.
 func simplexSolve(n, m int, c, ub []float64, rows []Row, opt Options) (*compSolution, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
-	return simplexSolveWS(n, m, c, ub, rows, opt, nil, ws)
+	return simplexSolveWS(n, m, c, ub, rows, opt, ws)
 }
 
 // simplexSolveWS runs a bounded-variable revised primal simplex on one
@@ -29,13 +29,8 @@ func simplexSolve(n, m int, c, ub []float64, rows []Row, opt Options) (*compSolu
 // rule out cycling.
 //
 // Scratch comes from ws; the returned compSolution aliases ws buffers and is
-// only valid until the next solve reuses the workspace. warm is an optional
-// starting hint in component-local indexing: warm[v] asks to start structural
-// variable v at its upper bound. Flips are applied only while they fit the
-// remaining capacities, so any hint is safe; the simplex still runs to the
-// exact optimum from there. A nil warm uses the greedy density crash (unless
-// opt.NoCrash), which is the deterministic cold path Solve uses.
-func simplexSolveWS(n, m int, c, ub []float64, rows []Row, opt Options, warm []bool, ws *workspace) (*compSolution, error) {
+// only valid until the next solve reuses the workspace.
+func simplexSolveWS(n, m int, c, ub []float64, rows []Row, opt Options, ws *workspace) (*compSolution, error) {
 	const (
 		tol         = 1e-9
 		degStreak   = 60  // degenerate pivots before switching to Bland
@@ -130,26 +125,14 @@ func simplexSolveWS(n, m int, c, ub []float64, rows []Row, opt Options, warm []b
 		}
 	}
 
-	// Warm start: re-flip the variables that sat at their upper bound in the
-	// adjacent τ's optimum. That point stays feasible when capacities grow,
-	// so the flips fit (the explicit check only guards floating-point drift).
-	if warm != nil {
-		for v := 0; v < n; v++ {
-			if warm[v] && c[v] > 0 && ub[v] > 0 && flipFits(v) {
-				flip(v)
-			}
-		}
-	}
-
 	// Greedy crash start: flip variables to their upper bound while every
 	// row still has capacity, densest (cost per unit of capacity) first.
 	// This starts the simplex near the optimum instead of at zero, which
-	// cuts iterations dramatically on the truncation LPs. After a warm
-	// start it tops up whatever new capacity the larger τ opened.
+	// cuts iterations dramatically on the truncation LPs.
 	if !opt.NoCrash {
 		cands := ws.cands[:0]
 		for v := 0; v < n; v++ {
-			if c[v] <= 0 || ub[v] <= 0 || atUB[v] {
+			if c[v] <= 0 || ub[v] <= 0 {
 				continue
 			}
 			weight := 0.0

@@ -18,7 +18,6 @@ type Options struct {
 	NoPresolve  bool // keep redundant rows and orphan variables
 	NoDecompose bool // solve everything as one component
 	NoCrash     bool // start the simplex from x = 0 instead of a greedy point
-	NoWarmStart bool // GridSolver only: solve every τ cold (Solve ignores it)
 }
 
 // Solve computes the exact optimum of a packing LP. The pipeline is
@@ -319,7 +318,7 @@ func solveComponent(w *work, comp component, opt Options, ws *workspace) (*compS
 		yOut[0] = y
 		return &compSolution{status: Optimal, x: x, y: yOut}, nil
 	}
-	return simplexSolveWS(n, m, c, ub, rows, opt, nil, ws)
+	return simplexSolveWS(n, m, c, ub, rows, opt, ws)
 }
 
 // buildLocal materializes one component's LP in local indexing, with every

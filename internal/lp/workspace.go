@@ -45,11 +45,10 @@ type workspace struct {
 	// knapsack scratch.
 	items []knapItem
 
-	// grid solver per-τ scratch: union-find state, live-row list, warm-start
-	// mask, and the counting-sort buffers that bucket vars/rows by block.
+	// grid solver per-τ scratch: union-find state, live-row list, and the
+	// counting-sort buffers that bucket vars/rows by block.
 	parent    []int
 	liveRows  []int
-	warm      []bool
 	compOf    []int
 	blkPtr    []int
 	blkCur    []int

@@ -1,10 +1,21 @@
-// Backend promotion: the paper baselines of this package double as
-// first-class release mechanisms selectable per request (ROADMAP open item
-// 2). Each backend wraps one mechanism behind a uniform interface, threads
-// the stage profiler through its hot sections (lp-solve for truncated
+// Package mech is the production mechanism portfolio: the release mechanisms
+// selectable per request next to R2T, and the cost-based chooser over them
+// (choose.go).
+//
+//   - NaiveLaplace — the textbook Laplace mechanism at global sensitivity.
+//   - LPFixedTau   — the LP-based truncation mechanism of Kasiviswanathan et
+//     al. [22] with an externally supplied τ (Table 3 shows why
+//     fixing τ is hopeless).
+//   - LS           — the local-sensitivity SVT mechanism of Tao et al. [37]
+//     for self-join-free queries, as analysed in Appendix A.
+//
+// Each backend wraps one mechanism behind a uniform interface, threads the
+// stage profiler through its hot sections (lp-solve for truncated
 // evaluations, noise for Laplace draws — so r2td's r2td_stage_* metrics cover
-// the baselines exactly as they cover R2T), and reports which truncation
-// operator it needs so the engine builds only that.
+// them exactly as they cover R2T), and reports which truncation operator it
+// needs so the engine builds only that. The paper's graph-only comparators
+// (NT, SDE, RM, edge-DP smooth sensitivity) are not release mechanisms and
+// live with the experiment harness in internal/experiments.
 //
 // PRIVACY: every backend releases an ε-DP estimate **given its own promise**.
 // R2T stays ε-DP even when the GS_Q promise is wrong (only utility
@@ -194,6 +205,32 @@ func (lsBackend) Run(tr truncation.Truncator, p Params) (*Result, error) {
 		WinnerTau: chosen,
 		Duration:  time.Since(start),
 	}, nil
+}
+
+// NaiveLaplace releases answer + Lap(gsq/ε) — worst-case calibrated noise.
+func NaiveLaplace(answer, gsq, eps float64, src dp.NoiseSource) float64 {
+	return answer + src.Laplace(gsq/eps)
+}
+
+// LPFixedTau is the LP-based truncation mechanism with a fixed τ [22]:
+// Q(I,τ) + Lap(τ/ε). Unlike R2T it spends the whole budget on one τ — and
+// pays the full bias of that choice.
+func LPFixedTau(tr *truncation.LPTruncator, tau, eps float64, src dp.NoiseSource) (float64, error) {
+	v, err := tr.Value(tau)
+	if err != nil {
+		return 0, err
+	}
+	return v + src.Laplace(tau/eps), nil
+}
+
+// LS is the local-sensitivity based mechanism of Tao et al. [37] for
+// self-join-free queries (Appendix A): it privatizes the query once at
+// global-sensitivity scale, runs an SVT over geometrically increasing τ to
+// find where naive truncation stops losing mass, and releases the truncated
+// value with noise τ/ε. The budget is split ε/4 + ε/2 + ε/4.
+func LS(nt *truncation.NaiveTruncator, gsq, eps float64, src dp.NoiseSource) (float64, error) {
+	est, _, err := ls(nt, gsq, eps, src, nil)
+	return est, err
 }
 
 // ls is the shared implementation behind LS and lsBackend: same draws in the

@@ -302,9 +302,9 @@ func (t *LPTruncator) release(sol *lp.Solution, tau float64) (float64, error) {
 }
 
 // Values evaluates Q(I,τ) for a whole τ schedule with amortized work — the
-// τ-independent structure is reused and solves are warm-start-free so that
-// every entry is bit-identical to the corresponding Value call (and hence to
-// per-τ lp.Solve). core.Run uses this for the full race grid.
+// τ-independent structure is reused, and every entry is bit-identical to the
+// corresponding Value call (and hence to per-τ lp.Solve). core.Run uses this
+// for the full race grid.
 func (t *LPTruncator) Values(taus []float64) ([]float64, error) {
 	out := make([]float64, len(taus))
 	for _, tau := range taus {
@@ -337,12 +337,7 @@ func (t *LPTruncator) Values(taus []float64) ([]float64, error) {
 	if err != nil {
 		return nil, err
 	}
-	opt := t.solveOpt
-	// Warm starts can return a different vertex among alternate optima whose
-	// floating-point objective differs at the ulp level; released values must
-	// match the per-τ cold solve exactly.
-	opt.NoWarmStart = true
-	sols, err := g.SolveSchedule(pos, opt)
+	sols, err := g.SolveSchedule(pos, t.solveOpt)
 	if err != nil {
 		return nil, err
 	}

@@ -238,6 +238,14 @@ func TestMechanismAuto(t *testing.T) {
 	if ans.Mechanism != "r2t" {
 		t.Fatalf("auto without target picked %q", ans.Mechanism)
 	}
+	// The fallback is the r2t run itself: same seed, same released bits.
+	plain, err := db.Query(`SELECT COUNT(*) FROM Orders`, Options{
+		Epsilon: 1, GSQ: 128, Primary: []string{"Customer"}, Noise: NewNoiseSource(1),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bitEqual(t, "auto fallback vs plain r2t", ans.Estimate, plain.Estimate)
 }
 
 // TestChooserDataIndependence is the §15 property end to end: neighboring

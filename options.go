@@ -76,13 +76,16 @@ type Options struct {
 // r2td server go through before any budget charge, runs it first. (The
 // mechanism core re-checks defensively; both sides must agree.)
 func (opt Options) Validate() error {
-	if opt.Epsilon <= 0 {
-		return fmt.Errorf("r2t: ε must be positive, got %g", opt.Epsilon)
+	// Every numeric check is written to fail on NaN (for which all ordered
+	// comparisons are false) and ±Inf: a non-finite ε would poison the budget
+	// arithmetic and admit every later charge.
+	if !isFinite(opt.Epsilon) || opt.Epsilon <= 0 {
+		return fmt.Errorf("r2t: ε must be positive and finite, got %g", opt.Epsilon)
 	}
-	if opt.GSQ < 2 {
-		return fmt.Errorf("r2t: GS_Q must be at least 2, got %g", opt.GSQ)
+	if !isFinite(opt.GSQ) || opt.GSQ < 2 {
+		return fmt.Errorf("r2t: GS_Q must be finite and at least 2, got %g", opt.GSQ)
 	}
-	if opt.Beta < 0 || opt.Beta >= 1 {
+	if !isFinite(opt.Beta) || opt.Beta < 0 || opt.Beta >= 1 {
 		return fmt.Errorf("r2t: β must be in (0,1), or 0 for the default, got %g", opt.Beta)
 	}
 	if opt.Naive && opt.AllowNegativeSum {
@@ -97,8 +100,8 @@ func (opt Options) Validate() error {
 	if opt.Naive && opt.Mechanism != "" && opt.Mechanism != mech.MechR2T {
 		return fmt.Errorf("r2t: Naive applies to the r2t mechanism only, not %q", opt.Mechanism)
 	}
-	if opt.ErrorTarget < 0 {
-		return fmt.Errorf("r2t: ErrorTarget must be non-negative, got %g", opt.ErrorTarget)
+	if !isFinite(opt.ErrorTarget) || opt.ErrorTarget < 0 {
+		return fmt.Errorf("r2t: ErrorTarget must be finite and non-negative, got %g", opt.ErrorTarget)
 	}
 	if opt.ErrorTarget > 0 && opt.Mechanism != mech.MechAuto {
 		return fmt.Errorf("r2t: ErrorTarget requires Mechanism \"auto\" (got %q)", opt.Mechanism)
@@ -107,7 +110,7 @@ func (opt Options) Validate() error {
 		if opt.Mechanism != mech.MechFixedTau {
 			return fmt.Errorf("r2t: FixedTau requires Mechanism \"fixed-tau\" (got %q)", opt.Mechanism)
 		}
-		if opt.FixedTau < 0 || opt.FixedTau > opt.GSQ {
+		if !isFinite(opt.FixedTau) || opt.FixedTau < 0 || opt.FixedTau > opt.GSQ {
 			return fmt.Errorf("r2t: FixedTau %g outside (0, GSQ=%g]", opt.FixedTau, opt.GSQ)
 		}
 	}

@@ -12,17 +12,22 @@ import (
 	"r2t/internal/truncation"
 )
 
-// buildShardedShop generates one seeded shop instance twice: as a single
-// unsharded DB and as nShards shard-local DBs populated through the shard
-// routing rules (partitioned rows on their owner, broadcast rows everywhere).
-func buildShardedShop(t *testing.T, rng *rand.Rand, nShards int) (*DB, []*DB) {
-	t.Helper()
-	s := MustSchema(
+// shopSchema is the schema of buildShardedShop's instance.
+func shopSchema() *Schema {
+	return MustSchema(
 		&Relation{Name: "Catalog", Attrs: []string{"sku"}, PK: "sku"},
 		&Relation{Name: "Customer", Attrs: []string{"CK", "region"}, PK: "CK"},
 		&Relation{Name: "Orders", Attrs: []string{"OK", "CK", "sku", "price"}, PK: "OK",
 			FKs: []FK{{Attr: "CK", Ref: "Customer"}, {Attr: "sku", Ref: "Catalog"}}},
 	)
+}
+
+// buildShardedShop generates one seeded shop instance twice: as a single
+// unsharded DB and as nShards shard-local DBs populated through the shard
+// routing rules (partitioned rows on their owner, broadcast rows everywhere).
+func buildShardedShop(t *testing.T, rng *rand.Rand, nShards int) (*DB, []*DB) {
+	t.Helper()
+	s := shopSchema()
 	routing, err := shard.NewRouting(s, "Customer")
 	if err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package r2t
 import (
 	"context"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -190,6 +191,33 @@ func TestPipelineGate(t *testing.T) {
 	}
 }
 
+// FuzzPrepare is the hostile-analyst target: arbitrary bytes through
+// DB.Prepare on a DB with no rows, under each corpus row's options, never
+// panic; and what prepares, prepares again from its own normalized SQL to the
+// same normalized SQL — r2td's answer cache and single-flight key on p.SQL(),
+// so the normalization must be idempotent.
+func FuzzPrepare(f *testing.F) {
+	corpus := pipelineCorpus()
+	for i, c := range corpus {
+		f.Add(c.sql, uint8(i))
+	}
+	db := NewDB(shopSchema())
+	f.Fuzz(func(t *testing.T, sql string, row uint8) {
+		opt := corpus[int(row)%len(corpus)].opt
+		p, err := db.Prepare(sql, opt)
+		if err != nil {
+			return
+		}
+		p2, err := db.Prepare(p.SQL(), opt)
+		if err != nil {
+			t.Fatalf("normalized SQL %q of %q does not prepare: %v", p.SQL(), sql, err)
+		}
+		if p2.SQL() != p.SQL() {
+			t.Fatalf("normalization is not idempotent: %q → %q → %q", sql, p.SQL(), p2.SQL())
+		}
+	})
+}
+
 // TestPrepareFailuresNeverCharge: every way the prepare stage can fail fails
 // every entry point, and leaves a budget — and the ledger a charging caller
 // appends to from the budget's commit hook — untouched.
@@ -226,6 +254,11 @@ func TestPrepareFailuresNeverCharge(t *testing.T) {
 		{name: "duplicate group", sql: gateCount, opt: ok, column: "c.region", groups: []Value{Str("EU"), Str("EU")}},
 		{name: "malformed column", sql: gateCount, opt: ok, column: "c.", groups: regions},
 		{name: "unknown group column", sql: gateCount, opt: ok, column: "c.planet", groups: regions},
+	}
+	for _, f := range nonFiniteFields {
+		for _, v := range []float64{math.NaN(), math.Inf(1)} {
+			failures = append(failures, pipelineCase{name: fmt.Sprintf("%s %g", f.name, v), sql: gateCount, opt: with(func(o *Options) { f.set(o, v) })})
+		}
 	}
 	for _, c := range failures {
 		budget := MustBudget(10)
@@ -272,8 +305,8 @@ func TestPrepareFailuresNeverCharge(t *testing.T) {
 				t.Errorf("%s: %s succeeded", c.name, name)
 			}
 		}
-		if budget.Spent() != 0 || len(ledger) != 0 {
-			t.Errorf("%s: a request that cannot be prepared charged: spent %g, ledger %q", c.name, budget.Spent(), ledger)
+		if spent, rem := budget.Balance(); spent != 0 || rem != 10 || len(ledger) != 0 {
+			t.Errorf("%s: a request that cannot be prepared charged: spent %g, remaining %g, ledger %q", c.name, spent, rem, ledger)
 		}
 	}
 }

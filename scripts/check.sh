@@ -50,8 +50,8 @@ while read -r pkg name; do
 done <scripts/gates.txt
 [ "$missing" -eq 0 ]
 
-# Benchmark-compile smoke: every benchmark builds and runs one iteration,
-# so BENCH_*.json regeneration can't silently rot.
+# Benchmark-compile smoke: every benchmark builds and runs one iteration, so
+# the paper-table, micro and ablation benchmarks can't silently rot.
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 echo "check.sh: all green"
