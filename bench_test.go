@@ -14,7 +14,6 @@ import (
 	"r2t/internal/exec"
 	"r2t/internal/experiments"
 	"r2t/internal/graph"
-	"r2t/internal/lp"
 	"r2t/internal/plan"
 	"r2t/internal/schema"
 	"r2t/internal/sql"
@@ -193,45 +192,6 @@ func BenchmarkRMGreedy(b *testing.B) {
 		experiments.RM(occ, 0.8, dp.NewSource(int64(i)))
 	}
 }
-
-// --- ablation benchmarks (the design choices DESIGN.md calls out) -------
-
-// benchWedgeTruncator builds a mid-size wedge LP workload shared by the
-// ablation benchmarks.
-func benchAblationSolve(b *testing.B, opt lpOptions) {
-	g := graph.GenSocial(150, 600, 48, 5)
-	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Paths2)}
-	tr := truncation.NewLPFromOccurrences(occ)
-	tr.SetSolveOptions(opt)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Two regimes per iteration: τ=8 (constraints everywhere — crash and
-		// decomposition matter) and τ=64 (most rows redundant — presolve
-		// matters).
-		if _, err := tr.Value(8); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tr.Value(64); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-type lpOptions = lp.Options
-
-// BenchmarkAblationFull runs the truncation LP with all optimizations on.
-func BenchmarkAblationFull(b *testing.B) { benchAblationSolve(b, lpOptions{}) }
-
-// BenchmarkAblationNoPresolve disables redundant-row elimination.
-func BenchmarkAblationNoPresolve(b *testing.B) { benchAblationSolve(b, lpOptions{NoPresolve: true}) }
-
-// BenchmarkAblationNoDecompose solves everything as one simplex block.
-func BenchmarkAblationNoDecompose(b *testing.B) {
-	benchAblationSolve(b, lpOptions{NoDecompose: true})
-}
-
-// BenchmarkAblationNoCrash starts the simplex from x = 0.
-func BenchmarkAblationNoCrash(b *testing.B) { benchAblationSolve(b, lpOptions{NoCrash: true}) }
 
 // BenchmarkTPCHGenerate measures the synthetic data generator.
 func BenchmarkTPCHGenerate(b *testing.B) {

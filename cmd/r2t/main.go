@@ -91,8 +91,8 @@ func main() {
 	if *seed != 0 {
 		opt.Noise = r2t.NewNoiseSource(*seed)
 	}
-	// seed == 0: leave Noise nil so the engine seeds from the system CSPRNG
-	// (dp.CryptoSeed) — wall-clock seeding is reconstructible by anyone who
+	// seed == 0: leave Noise nil so the engine keys from the system CSPRNG
+	// (dp.NewCryptoSource) — wall-clock seeding is reconstructible by anyone who
 	// can bound when the query ran.
 
 	ans, err := db.Query(*query, opt)

@@ -24,24 +24,26 @@ import (
 	"r2t/internal/truncation"
 )
 
+// The early-stop bounder tightens each race's dual bound for dualRounds rounds
+// of dualItersPerRound iterations before giving up and solving the LP exactly.
+const (
+	dualRounds        = 8
+	dualItersPerRound = 20
+)
+
 // Config parameterizes one R2T invocation.
 type Config struct {
 	Epsilon float64 // privacy budget ε (> 0)
 	Beta    float64 // failure probability β of the utility bound; 0 → 0.1
 	GSQ     float64 // assumed global sensitivity bound (≥ 2)
 
-	Noise dp.NoiseSource // nil → a fresh crypto-seeded source (dp.CryptoSeed)
+	Noise dp.NoiseSource // nil → a fresh CSPRNG-keyed source (dp.NewCryptoSource)
 
 	// EarlyStop enables Algorithm 1: races are killed as soon as a dual
 	// upper bound proves they cannot beat the current best. Requires a
 	// truncator that can produce dual bounds (the LP truncator can); other
 	// truncators silently fall back to the plain algorithm.
 	EarlyStop bool
-
-	// DualRounds and DualItersPerRound tune the early-stop bounder
-	// (defaults: 8 rounds of 20 iterations).
-	DualRounds        int
-	DualItersPerRound int
 
 	// Workers is the number of races solved concurrently (Section 9 solves
 	// the LPs in parallel). Default 1 (serial); ≤ 0 uses GOMAXPROCS. The
@@ -81,13 +83,7 @@ func (c *Config) fill() error {
 	if c.Noise == nil {
 		// A predictable (e.g. clock-derived) seed would let an adversary
 		// reconstruct the Laplace draws; default to the system CSPRNG.
-		c.Noise = dp.NewSource(dp.CryptoSeed())
-	}
-	if c.DualRounds <= 0 {
-		c.DualRounds = 8
-	}
-	if c.DualItersPerRound <= 0 {
-		c.DualItersPerRound = 20
+		c.Noise = dp.NewCryptoSource()
 	}
 	return nil
 }
@@ -250,8 +246,8 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		if useEarly {
 			b := bounded.Bounder(tau)
 			prev := math.Inf(1)
-			for round := 0; round < cfg.DualRounds; round++ {
-				bound := b.Tighten(cfg.DualItersPerRound)
+			for round := 0; round < dualRounds; round++ {
+				bound := b.Tighten(dualItersPerRound)
 				if bound+shift <= readBest() {
 					race.Pruned = true
 					race.Duration = time.Since(raceStart)

@@ -6,10 +6,10 @@ package dp
 
 import (
 	crand "crypto/rand"
-	"encoding/binary"
 	"fmt"
 	"math"
 	"math/rand"
+	randv2 "math/rand/v2"
 	"sync"
 
 	"r2t/internal/fault"
@@ -22,31 +22,35 @@ type NoiseSource interface {
 	Laplace(scale float64) float64
 }
 
-// rngSource samples from a seeded PRNG. Experiments use explicit seeds so
-// every table is reproducible run-to-run. (A deployment would substitute a
-// cryptographically secure source; the mechanism code is agnostic.)
+// rngSource samples Laplace noise from a uniform generator: a seeded math/rand
+// PRNG (NewSource — experiments and tests use explicit seeds so every table is
+// reproducible run-to-run) or a ChaCha8 stream keyed from the system CSPRNG
+// (NewCryptoSource — every release that was not handed a source).
 type rngSource struct {
-	r *rand.Rand
+	r interface{ Float64() float64 }
 }
 
-// NewSource returns a deterministic, seeded noise source.
+// NewSource returns a deterministic, seeded noise source. Reproducibility only:
+// math/rand reduces the seed mod 2³¹−1, so the stream has at most 31 bits of
+// entropy and must never be keyed from secret randomness — NewCryptoSource is
+// the source for real releases.
 func NewSource(seed int64) NoiseSource {
 	return &rngSource{r: rand.New(rand.NewSource(seed))}
 }
 
-// CryptoSeed draws a noise-source seed from the operating system's CSPRNG.
-// It is the default seed for every mechanism run that was not given an
-// explicit source: a clock-derived seed is guessable, and a guessable seed
-// lets an adversary reconstruct the Laplace draws and undo the privacy
-// guarantee. There is deliberately no fallback — if the system's entropy
-// source is broken, no safe noise can be drawn, so CryptoSeed panics rather
-// than silently degrading to predictable randomness.
-func CryptoSeed() int64 {
-	var buf [8]byte
-	if _, err := crand.Read(buf[:]); err != nil {
-		panic(fmt.Sprintf("dp: cannot read crypto/rand for noise seed: %v", err))
+// NewCryptoSource returns a noise source keyed with 256 bits from the
+// operating system's CSPRNG (ChaCha8). It is the default for every mechanism
+// run that was not given an explicit source: a guessable or low-entropy stream
+// lets an adversary reconstruct the Laplace draws from one release and undo
+// the privacy guarantee. There is deliberately no fallback — if the system's
+// entropy source is broken, no safe noise can be drawn, so NewCryptoSource
+// panics rather than silently degrading to predictable randomness.
+func NewCryptoSource() NoiseSource {
+	var key [32]byte
+	if _, err := crand.Read(key[:]); err != nil {
+		panic(fmt.Sprintf("dp: cannot read crypto/rand for the noise key: %v", err))
 	}
-	return int64(binary.LittleEndian.Uint64(buf[:]))
+	return &rngSource{r: randv2.New(randv2.NewChaCha8(key))}
 }
 
 // Laplace samples by inverse CDF: for U uniform in (−1/2, 1/2),

@@ -64,6 +64,30 @@ func TestDeterministicSeeds(t *testing.T) {
 	}
 }
 
+// TestCryptoSource: unseeded sources are keyed independently from the system
+// CSPRNG (two streams differ at once) and sample the same Laplace law as the
+// seeded ones. The bounds are 4.5σ and 6σ at n = 10⁵, so a false alarm is a
+// ~10⁻⁵ event.
+func TestCryptoSource(t *testing.T) {
+	a, b := NewCryptoSource(), NewCryptoSource()
+	if a.Laplace(1) == b.Laplace(1) {
+		t.Fatal("two crypto-keyed streams agree on their first draw")
+	}
+	const n = 100000
+	var sum, sumAbs float64
+	for i := 0; i < n; i++ {
+		x := a.Laplace(1)
+		sum += x
+		sumAbs += math.Abs(x)
+	}
+	if mean := sum / n; math.Abs(mean) >= 0.02 {
+		t.Errorf("mean = %g, want |mean| < 0.02", mean)
+	}
+	if meanAbs := sumAbs / n; math.Abs(meanAbs-1) > 0.02 { // E|Lap(b)| = b
+		t.Errorf("mean |x| = %g, want within 2%% of 1", meanAbs)
+	}
+}
+
 func TestZeroNoise(t *testing.T) {
 	if (ZeroNoise{}).Laplace(100) != 0 {
 		t.Error("ZeroNoise should return 0")

@@ -81,8 +81,10 @@ func (c *Core) Result(p *plan.Plan, rec *obs.Recorder) (*Result, error) {
 	return res, err
 }
 
-// SplitResult builds the signed split over the core: the pos/neg halves
-// RunSplitConfig would return. Projection queries are rejected.
+// SplitResult builds the signed split over the core for a SUM query whose
+// expression may go negative: the pos/neg halves (see Split) of p's view with
+// negative ψ allowed. Projection queries are rejected (COUNT DISTINCT weights
+// are always 1).
 func (c *Core) SplitResult(p *plan.Plan, rec *obs.Recorder) (pos, neg *Result, err error) {
 	if len(p.ProjVars) > 0 {
 		return nil, nil, fmt.Errorf("exec: signed split does not apply to projection queries")
@@ -98,8 +100,14 @@ func (c *Core) SplitResult(p *plan.Plan, rec *obs.Recorder) (pos, neg *Result, e
 	return pos, neg, nil
 }
 
-// PartitionedResult builds the group-by view over the core: exactly what
-// RunPartitioned would return for the snapshots the core pinned.
+// PartitionedResult builds the group-by view over the core, partitioning the
+// join results by the value of variable groupVar: partition i holds exactly
+// the rows an evaluation of p with the extra predicate groupVar = groups[i]
+// would produce, in the same order (the predicate is a pointwise filter on a
+// bound output column, so filtering after the join selects the same row
+// subsequence as pushing it down — see DESIGN.md §10). Rows whose group value
+// matches no entry of groups are dropped. All partitions share one Universe.
+// Duplicate group values are rejected.
 func (c *Core) PartitionedResult(p *plan.Plan, rec *obs.Recorder, groupVar int, groups []value.V, allowNegative bool) ([]*Result, error) {
 	if err := c.matches(p); err != nil {
 		return nil, err
@@ -140,7 +148,7 @@ func makeGroupOf(groups []value.V) (map[value.V]int32, error) {
 // assemblePartitions splits a full run into per-group Results sharing one
 // Universe, preserving row order and rebuilding projection groups in
 // first-appearance order — exactly the order a per-group run would assign
-// (see RunPartitioned).
+// (see PartitionedResult).
 func assemblePartitions(p *plan.Plan, full *Result, rowPart []int32, ngroups int) []*Result {
 	parts := make([]*Result, ngroups)
 	for i := range parts {

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sync"
@@ -82,56 +83,66 @@ func TestCoreBuildEquivalence(t *testing.T) {
 	}
 }
 
+// The signed split served from a shared core (built for another aggregate of
+// the same join) is the two sign-predicated non-negative runs: pos holds the
+// ψ ≥ 0 rows, neg the ψ < 0 rows with ψ negated, each in join order.
 func TestCoreSplitResultEquivalence(t *testing.T) {
 	inst := randomGraph(t, 40, 160)
 	s := graphSchema()
 	priv := []string{"Node"}
-	src := `SELECT SUM(e1.src - e2.dst) FROM Edge e1, Edge e2
-		WHERE e1.dst = e2.src`
-	p := mustPlan(t, src, s, priv)
-	wantPos, wantNeg, err := RunSplitConfig(p, inst, Config{})
+	const from = ` FROM Edge e1, Edge e2 WHERE e1.dst = e2.src`
+	core, err := RunCore(mustPlan(t, "SELECT COUNT(*)"+from, s, priv), inst, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	core, err := RunCore(mustPlan(t, "SELECT COUNT(*) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src", s, priv), inst, Config{})
+	gotPos, gotNeg, err := core.SplitResult(mustPlan(t, "SELECT SUM(e1.src - e2.dst)"+from, s, priv), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gotPos, gotNeg, err := core.SplitResult(p, nil)
+	if len(gotPos.Rows) == 0 || len(gotNeg.Rows) == 0 {
+		t.Fatalf("fixture must exercise both halves: %d pos, %d neg rows", len(gotPos.Rows), len(gotNeg.Rows))
+	}
+	wantPos, err := Run(mustPlan(t, "SELECT SUM(e1.src - e2.dst)"+from+" AND e1.src >= e2.dst", s, priv), inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, "pos", gotPos, wantPos)
-	sameResult(t, "neg", gotNeg, wantNeg)
+	wantNeg, err := Run(mustPlan(t, "SELECT SUM(e2.dst - e1.src)"+from+" AND e1.src < e2.dst", s, priv), inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameResolved(t, "pos", wantPos, gotPos)
+	requireSameResolved(t, "neg", wantNeg, gotNeg)
 
-	proj := mustPlan(t, "SELECT COUNT(DISTINCT e1.src) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src", s, priv)
+	proj := mustPlan(t, "SELECT COUNT(DISTINCT e1.src)"+from, s, priv)
 	if _, _, err := core.SplitResult(proj, nil); err == nil {
 		t.Fatal("projection split should be rejected")
 	}
 }
 
+// The group-by view served from a shared core: partition i is the run of the
+// query with the predicate groupVar = groups[i] appended, row for row.
 func TestCorePartitionedResultEquivalence(t *testing.T) {
 	inst := randomGraph(t, 30, 120)
 	s := graphSchema()
 	priv := []string{"Node"}
-	src := "SELECT COUNT(*) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src"
-	p := mustPlan(t, src, s, priv)
+	const from = ` FROM Edge e1, Edge e2 WHERE e1.dst = e2.src`
+	core, err := RunCore(mustPlan(t, "SELECT COUNT(*)"+from, s, priv), inst, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := mustPlan(t, "SELECT SUM(e2.dst)"+from, s, priv)
 	gv := p.ColVar(sql.ColRef{Qualifier: "e1", Attr: "src"})
 	groups := []value.V{value.IntV(0), value.IntV(3), value.IntV(7)}
-	want, err := RunPartitioned(p, inst, Config{}, gv, groups, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	core, err := RunCore(p, inst, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
 	got, err := core.PartitionedResult(p, nil, gv, groups, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range want {
-		sameResult(t, "partition", got[i], want[i])
+	for i, g := range groups {
+		want, err := Run(mustPlan(t, fmt.Sprintf("SELECT SUM(e2.dst)%s AND e1.src = %d", from, g.I), s, priv), inst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameResolved(t, fmt.Sprintf("partition %d", g.I), want, got[i])
 	}
 	if _, err := core.PartitionedResult(p, nil, gv, []value.V{value.IntV(1), value.IntV(1)}, false); err == nil {
 		t.Fatal("duplicate partition values should be rejected")

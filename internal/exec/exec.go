@@ -35,7 +35,7 @@ type JoinRow struct {
 //
 // Provenance is interned: Universe lists every referenced individual once,
 // in first-appearance order over the rows, and each row carries indices into
-// it. Results produced from the same run (Split halves, RunPartitioned
+// it. Results produced from the same run (Split halves, PartitionedResult
 // partitions) share one Universe, so a Result's rows may reference only a
 // subset of it — per-result aggregates (NumIndividuals, SortedTupleRefs, …)
 // count only individuals that actually occur in the rows.
@@ -203,13 +203,21 @@ func Run(p *plan.Plan, inst *storage.Instance) (*Result, error) {
 
 // RunConfig is Run with an explicit executor configuration.
 func RunConfig(p *plan.Plan, inst *storage.Instance, cfg Config) (*Result, error) {
-	res, _, err := run(p, inst, runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder})
+	opt := runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder}
+	c, err := runCore(p, inst, opt)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := buildFromCore(c, p, opt)
 	return res, err
 }
 
-// Split separates an allowNegative run into two non-negative halves: pos
+// Split separates an allowNegative view into two non-negative halves: pos
 // carries ψ⁺ = max(ψ,0) and neg carries ψ⁻ = max(−ψ,0), so Q(I) =
-// pos.TrueAnswer() − neg.TrueAnswer(). Both halves share full's Universe.
+// pos.TrueAnswer() − neg.TrueAnswer(). Each half is a valid input to a
+// truncation operator; privatizing both (with split budget) and subtracting
+// is the standard way to lift the paper's ψ ≥ 0 requirement. Both halves
+// share full's Universe.
 func Split(full *Result) (pos, neg *Result) {
 	pos = &Result{Plan: full.Plan, Universe: full.Universe}
 	neg = &Result{Plan: full.Plan, Universe: full.Universe}
@@ -221,57 +229,6 @@ func Split(full *Result) (pos, neg *Result) {
 		}
 	}
 	return pos, neg
-}
-
-// RunSplit evaluates a SUM query whose expression may go negative, splitting
-// the join results into two non-negative halves (see Split). Each half is a
-// valid input to a truncation operator; privatizing both (with split budget)
-// and subtracting is the standard way to lift the paper's ψ ≥ 0 requirement.
-// Projection queries are rejected (COUNT DISTINCT weights are always 1).
-func RunSplit(p *plan.Plan, inst *storage.Instance) (pos, neg *Result, err error) {
-	return RunSplitConfig(p, inst, Config{})
-}
-
-// RunSplitConfig is RunSplit with an explicit executor configuration.
-func RunSplitConfig(p *plan.Plan, inst *storage.Instance, cfg Config) (pos, neg *Result, err error) {
-	if len(p.ProjVars) > 0 {
-		return nil, nil, fmt.Errorf("exec: signed split does not apply to projection queries")
-	}
-	full, _, err := run(p, inst, runOpts{allowNegative: true, workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder})
-	if err != nil {
-		return nil, nil, err
-	}
-	pos, neg = Split(full)
-	return pos, neg, nil
-}
-
-// RunPartitioned evaluates p once and partitions the join results by the
-// value of variable groupVar: partition i holds exactly the rows an
-// evaluation of p with the extra predicate groupVar = groups[i] would
-// produce, in the same order (the predicate is a pointwise filter on a
-// bound output column, so filtering after the join selects the same row
-// subsequence as pushing it down — see DESIGN.md §10). Rows whose group
-// value matches no entry of groups are dropped. All partitions share one
-// Universe. Duplicate group values are rejected.
-func RunPartitioned(p *plan.Plan, inst *storage.Instance, cfg Config, groupVar int, groups []value.V, allowNegative bool) ([]*Result, error) {
-	if groupVar < 0 || groupVar >= p.NumVars {
-		return nil, fmt.Errorf("exec: partition variable %d out of range", groupVar)
-	}
-	groupOf, err := makeGroupOf(groups)
-	if err != nil {
-		return nil, err
-	}
-	full, rowPart, err := run(p, inst, runOpts{
-		allowNegative: allowNegative,
-		workers:       cfg.Workers,
-		groupVar:      groupVar,
-		groupOf:       groupOf,
-		rec:           cfg.Recorder,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return assemblePartitions(p, full, rowPart, len(groups)), nil
 }
 
 // runOpts carries one run's parameters; none of them changes the row order.
@@ -301,18 +258,6 @@ func (in *refInterner) id(r TupleRef) int32 {
 	in.ids[r] = id
 	in.order = append(in.order, r)
 	return id
-}
-
-// run joins (runCore), then builds rows with ψ, interned provenance,
-// projection groups and (optionally) partition assignments (buildFromCore).
-// The second return value is the per-row partition id (or nil when
-// opt.groupVar < 0).
-func run(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Result, []int32, error) {
-	c, err := runCore(p, inst, opt)
-	if err != nil {
-		return nil, nil, err
-	}
-	return buildFromCore(c, p, opt)
 }
 
 // runCore executes the probe pass: the join of the plan's atoms under its

@@ -510,7 +510,11 @@ func TestRunPartitionedMatchesPredicatedRuns(t *testing.T) {
 		if groupVar < 0 {
 			t.Fatalf("%q: c.region not a join column", src)
 		}
-		parts, err := RunPartitioned(p, inst, Config{}, groupVar, groups, false)
+		core, err := RunCore(p, inst, Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		parts, err := core.PartitionedResult(p, nil, groupVar, groups, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -526,7 +530,11 @@ func TestRunPartitionedMatchesPredicatedRuns(t *testing.T) {
 
 	p := mustPlan(t, queries[0], s, []string{"Customer"})
 	groupVar := p.ColVar(sql.ColRef{Qualifier: "c", Attr: "region"})
-	if _, err := RunPartitioned(p, inst, Config{}, groupVar, []value.V{value.StringV("EU"), value.StringV("EU")}, false); err == nil {
+	core, err := RunCore(p, inst, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := core.PartitionedResult(p, nil, groupVar, []value.V{value.StringV("EU"), value.StringV("EU")}, false); err == nil {
 		t.Fatal("duplicate partition values must be rejected")
 	}
 }

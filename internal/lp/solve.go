@@ -12,9 +12,9 @@ type Options struct {
 	// (generous, scaled to the component size).
 	MaxIters int
 
-	// Ablation switches (benchmarked in bench_test.go; all default off =
-	// optimizations enabled). They exist to quantify the design choices
-	// DESIGN.md calls out and must not change results, only speed.
+	// Ablation switches (all default off = optimizations enabled). They
+	// isolate the design choices DESIGN.md calls out and must not change
+	// results, only speed (TestAblationsPreserveOptimum).
 	NoPresolve  bool // keep redundant rows and orphan variables
 	NoDecompose bool // solve everything as one component
 	NoCrash     bool // start the simplex from x = 0 instead of a greedy point

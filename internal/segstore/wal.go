@@ -60,31 +60,6 @@ func appendHeader(buf []byte, name string, ncols int) []byte {
 	return buf
 }
 
-// parseHeader verifies a WAL header against the expected relation and
-// returns its length in bytes.
-func parseHeader(b []byte, name string, ncols int) (int, error) {
-	if len(b) < len(walMagic)+4 {
-		return 0, fmt.Errorf("segstore: %s: WAL header truncated", name)
-	}
-	if string(b[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("segstore: %s: bad WAL magic %q", name, b[:len(walMagic)])
-	}
-	off := len(walMagic)
-	n := int(binary.LittleEndian.Uint32(b[off:]))
-	off += 4
-	if len(b) < off+n+4 {
-		return 0, fmt.Errorf("segstore: %s: WAL header truncated", name)
-	}
-	if got := string(b[off : off+n]); got != name {
-		return 0, fmt.Errorf("segstore: WAL names relation %q, want %q", got, name)
-	}
-	off += n
-	if got := int(binary.LittleEndian.Uint32(b[off:])); got != ncols {
-		return 0, fmt.Errorf("segstore: %s: WAL has %d columns, want %d", name, got, ncols)
-	}
-	return off + 4, nil
-}
-
 // appendPayload appends the record payload encoding of rows: u32 row count,
 // then each row's values.
 func appendPayload(buf []byte, rows []storage.Row) []byte {

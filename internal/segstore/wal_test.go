@@ -1,6 +1,8 @@
 package segstore
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/binary"
 	"hash/crc32"
 	"math"
@@ -69,22 +71,35 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestHeaderRoundTrip drives readHeader, the decoder Open runs.
 func TestHeaderRoundTrip(t *testing.T) {
+	read := func(b []byte, name string, ncols int) (int, error) {
+		return readHeader(bufio.NewReader(bytes.NewReader(b)), name, ncols)
+	}
 	buf := appendHeader(nil, "Orders", 5)
-	n, err := parseHeader(buf, "Orders", 5)
+	n, err := read(buf, "Orders", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if n != len(buf) {
 		t.Fatalf("header length %d, want %d", n, len(buf))
 	}
-	if _, err := parseHeader(buf, "Customer", 5); err == nil {
-		t.Fatal("wrong relation name accepted")
-	}
-	if _, err := parseHeader(buf, "Orders", 4); err == nil {
-		t.Fatal("wrong column count accepted")
-	}
-	if _, err := parseHeader(buf[:6], "Orders", 5); err == nil {
-		t.Fatal("truncated header accepted")
+	hugeName := append([]byte(nil), buf...)
+	binary.LittleEndian.PutUint32(hugeName[len(walMagic):], 1<<16+1)
+	for _, bad := range []struct {
+		what  string
+		b     []byte
+		name  string
+		ncols int
+	}{
+		{"wrong relation name", buf, "Customer", 5},
+		{"wrong column count", buf, "Orders", 4},
+		{"header truncated in the fixed part", buf[:6], "Orders", 5},
+		{"header truncated in the name", buf[:len(walMagic)+4+3], "Orders", 5},
+		{"implausible name length", hugeName, "Orders", 5},
+	} {
+		if _, err := read(bad.b, bad.name, bad.ncols); err == nil {
+			t.Errorf("%s accepted", bad.what)
+		}
 	}
 }

@@ -61,7 +61,7 @@ type Config struct {
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
 	// Seed makes noise deterministic for tests and demos (0 = a fresh
-	// dp.CryptoSeed per query). Never set it in production.
+	// dp.NewCryptoSource per query). Never set it in production.
 	Seed int64
 	// AnswerCacheMax bounds the free-replay answer cache (default 65536
 	// entries, LRU-evicted). Eviction is ε-safe but not free: a re-asked
@@ -195,11 +195,12 @@ func New(cfg Config) (*Server, error) {
 		shared := dp.NewLockedSource(dp.NewSource(cfg.Seed))
 		s.noise = func() r2t.NoiseSource { return shared }
 	} else {
-		// Per-query seeding must not rely on wall-clock nanoseconds, which
-		// collide under concurrency and are adversary-guessable; dp.CryptoSeed
-		// draws from the OS entropy pool and panics (contained by the query
-		// path's recover as a uniform 500) rather than degrade.
-		s.noise = func() r2t.NoiseSource { return dp.NewSource(dp.CryptoSeed()) }
+		// Per-query keying must not rely on wall-clock nanoseconds, which
+		// collide under concurrency and are adversary-guessable;
+		// dp.NewCryptoSource draws from the OS entropy pool and panics
+		// (contained by the query path's recover as a uniform 500) rather
+		// than degrade.
+		s.noise = dp.NewCryptoSource
 	}
 	// The sharded⟺router pairing is structural: a sharded dataset's charges
 	// only make sense on the node that owns the shard group's ledger, and a

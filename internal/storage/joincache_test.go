@@ -32,57 +32,31 @@ func fill(t *testing.T, tbl *Table, ver uint64, n int) {
 func TestJoinCacheLRUEviction(t *testing.T) {
 	tbl := cacheTable(t)
 	_, ver := tbl.Snapshot()
-	tbl.SetJoinCacheCap(3)
-	fill(t, tbl, ver, 3) // k0 k1 k2; LRU order back→front: k0 k1 k2
+	const n = DefaultJoinCacheCap
+	fill(t, tbl, ver, n) // k0 … k(n-1) fill the cap; LRU order back→front
 	// Touch k0 so k1 becomes the eviction victim.
 	if _, ok := tbl.JoinCacheGetAt("k0", ver); !ok {
 		t.Fatal("k0 should be cached")
 	}
 	rebuilt := false
-	if v, _ := tbl.JoinCacheAt("k3", ver, func() any { rebuilt = true; return 3 }); v != 3 || !rebuilt {
-		t.Fatalf("k3 should build fresh (v=%v rebuilt=%v)", v, rebuilt)
+	v, evicted := tbl.JoinCacheAt("overflow", ver, func() any { rebuilt = true; return n })
+	if v != n || !rebuilt || evicted != 1 {
+		t.Fatalf("overflow should build fresh and evict one (v=%v rebuilt=%v evicted=%d)", v, rebuilt, evicted)
 	}
 	if _, ok := tbl.JoinCacheGetAt("k1", ver); ok {
 		t.Error("k1 should have been evicted as least recently used")
 	}
-	for _, k := range []string{"k0", "k2", "k3"} {
+	for _, k := range []string{"k0", "k2", fmt.Sprintf("k%d", n-1), "overflow"} {
 		if _, ok := tbl.JoinCacheGetAt(k, ver); !ok {
 			t.Errorf("%s should have survived eviction", k)
 		}
 	}
 	s := tbl.JoinCacheStats()
-	if s.Evictions != 1 || s.Entries != 3 {
-		t.Errorf("stats = %+v, want 1 eviction, 3 entries", s)
+	if s.Evictions != 1 || s.Entries != n {
+		t.Errorf("stats = %+v, want 1 eviction, %d entries", s, n)
 	}
-	if s.Misses != 4 { // four fresh builds
-		t.Errorf("misses = %d, want 4", s.Misses)
-	}
-}
-
-func TestJoinCacheCapLoweredEvictsNow(t *testing.T) {
-	tbl := cacheTable(t)
-	_, ver := tbl.Snapshot()
-	fill(t, tbl, ver, 5)
-	tbl.SetJoinCacheCap(2)
-	s := tbl.JoinCacheStats()
-	if s.Entries != 2 || s.Evictions != 3 {
-		t.Fatalf("stats after cap lowering = %+v, want 2 entries, 3 evictions", s)
-	}
-}
-
-func TestJoinCacheDisabled(t *testing.T) {
-	tbl := cacheTable(t)
-	_, ver := tbl.Snapshot()
-	tbl.SetJoinCacheCap(-1)
-	builds := 0
-	for i := 0; i < 2; i++ {
-		tbl.JoinCacheAt("k", ver, func() any { builds++; return builds })
-	}
-	if builds != 2 {
-		t.Fatalf("disabled cache should rebuild every time, got %d builds", builds)
-	}
-	if s := tbl.JoinCacheStats(); s.Entries != 0 || s.Misses != 2 {
-		t.Fatalf("stats = %+v, want 0 entries, 2 misses", s)
+	if s.Misses != n+1 { // one fresh build per key
+		t.Errorf("misses = %d, want %d", s.Misses, n+1)
 	}
 }
 
@@ -114,9 +88,5 @@ func TestInstanceJoinCacheStatsAggregate(t *testing.T) {
 	s := inst.JoinCacheStats()
 	if s.Hits != 1 || s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("aggregate stats = %+v, want 1 hit, 2 misses, 2 entries", s)
-	}
-	inst.SetJoinCacheCap(-1)
-	if s := inst.JoinCacheStats(); s.Entries != 0 {
-		t.Fatalf("disabling should clear entries, got %+v", s)
 	}
 }

@@ -76,12 +76,11 @@ type Table struct {
 	// O(delta), the incremental-maintenance fast path); anything else is
 	// dropped. JoinCacheAt refuses to serve or store an entry for any other
 	// version, so no query ever probes — or poisons the cache with — a stale
-	// index. The cache is LRU-bounded at joinCap entries (DefaultJoinCacheCap
-	// when unset): a workload cycling through many distinct join keys evicts
-	// the coldest index instead of growing without limit.
+	// index. The cache is LRU-bounded at DefaultJoinCacheCap entries: a
+	// workload cycling through many distinct join keys evicts the coldest
+	// index instead of growing without limit.
 	joinCache map[string]*list.Element
 	joinLRU   *list.List // front = most recently used; values are *joinEntry
-	joinCap   int        // 0 = DefaultJoinCacheCap, negative = caching off
 	joinStats CacheStats
 }
 
@@ -91,11 +90,10 @@ type joinEntry struct {
 	val any
 }
 
-// DefaultJoinCacheCap bounds a table's build-side index cache when no
-// explicit cap is set. Sixteen distinct (shared-column-set, check-column-set)
-// keys per table is far beyond any workload in the repo; the cap exists so an
-// adversarial or pathological stream of distinct join shapes cannot grow the
-// daemon without bound.
+// DefaultJoinCacheCap bounds a table's build-side index cache. Sixteen
+// distinct (shared-column-set, check-column-set) keys per table is far beyond
+// any workload in the repo; the cap exists so an adversarial or pathological
+// stream of distinct join shapes cannot grow the daemon without bound.
 const DefaultJoinCacheCap = 16
 
 // CacheStats reports one cache's traffic. Hits+Misses counts logical
@@ -244,39 +242,6 @@ func (t *Table) Snapshot() ([]Row, uint64) {
 	return t.Rows, t.version
 }
 
-// SetJoinCacheCap bounds the table's build-side index cache to at most n
-// entries, evicting least-recently-used entries immediately if the cache is
-// already over the new cap. n == 0 restores DefaultJoinCacheCap; n < 0
-// disables caching (every lookup misses and nothing is stored).
-func (t *Table) SetJoinCacheCap(n int) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.joinCap = n
-	t.evictOverCapLocked()
-}
-
-// effectiveJoinCap resolves the configured cap; callers hold t.mu.
-func (t *Table) effectiveJoinCap() int {
-	if t.joinCap == 0 {
-		return DefaultJoinCacheCap
-	}
-	return t.joinCap
-}
-
-// evictOverCapLocked drops LRU entries until the cache fits the cap.
-func (t *Table) evictOverCapLocked() {
-	cap := t.effectiveJoinCap()
-	if cap < 0 {
-		cap = 0
-	}
-	for t.joinLRU != nil && t.joinLRU.Len() > cap {
-		back := t.joinLRU.Back()
-		t.joinLRU.Remove(back)
-		delete(t.joinCache, back.Value.(*joinEntry).key)
-		t.joinStats.Evictions++
-	}
-}
-
 // JoinCacheStats returns a snapshot of the table's join-cache traffic.
 func (t *Table) JoinCacheStats() CacheStats {
 	t.mu.Lock()
@@ -314,8 +279,9 @@ func (t *Table) JoinCacheGetAt(key string, version uint64) (any, bool) {
 // would poison future queries running at the new version. Cached values must
 // be immutable once returned: readers use them without synchronization.
 //
-// Storing may push the cache over its LRU cap; the second return value is
-// the number of entries evicted to make room (for the caller's profiler).
+// Storing may push the cache over DefaultJoinCacheCap, evicting the least
+// recently used entry; the second return value is the number of entries
+// evicted to make room (for the caller's profiler).
 func (t *Table) JoinCacheAt(key string, version uint64, build func() any) (any, int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -330,17 +296,19 @@ func (t *Table) JoinCacheAt(key string, version uint64, build func() any) (any, 
 	}
 	t.joinStats.Misses++
 	v := build()
-	if t.effectiveJoinCap() < 1 {
-		return v, 0
-	}
 	if t.joinCache == nil {
 		t.joinCache = make(map[string]*list.Element)
 		t.joinLRU = list.New()
 	}
 	t.joinCache[key] = t.joinLRU.PushFront(&joinEntry{key: key, val: v})
-	before := t.joinStats.Evictions
-	t.evictOverCapLocked()
-	return v, int(t.joinStats.Evictions - before)
+	if t.joinLRU.Len() <= DefaultJoinCacheCap {
+		return v, 0
+	}
+	back := t.joinLRU.Back()
+	t.joinLRU.Remove(back)
+	delete(t.joinCache, back.Value.(*joinEntry).key)
+	t.joinStats.Evictions++
+	return v, 1
 }
 
 // Len returns the number of rows.
@@ -402,14 +370,6 @@ func (inst *Instance) JoinCacheStats() CacheStats {
 		s.Add(inst.tables[name].JoinCacheStats())
 	}
 	return s
-}
-
-// SetJoinCacheCap applies one build-side index-cache cap to every table
-// (see Table.SetJoinCacheCap for the n semantics).
-func (inst *Instance) SetJoinCacheCap(n int) {
-	for _, t := range inst.tables {
-		t.SetJoinCacheCap(n)
-	}
 }
 
 // Insert appends rows to the named relation.

@@ -62,26 +62,6 @@ func TestValueBitIdenticalToLegacySolve(t *testing.T) {
 	}
 }
 
-func TestValuesAblatedMatchesValue(t *testing.T) {
-	// Ablation switches bypass the grid; Values must still agree with Value.
-	rng := rand.New(rand.NewSource(47))
-	tr := NewLPFromOccurrences(randomOccurrences(rng))
-	tr.SetSolveOptions(lp.Options{NoCrash: true})
-	vs, err := tr.Values(raceTaus)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, tau := range raceTaus {
-		v, err := tr.Value(tau)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bitsEq(vs[i], v) {
-			t.Fatalf("τ=%g: ablated Values %v != Value %v", tau, vs[i], v)
-		}
-	}
-}
-
 func TestValuesRejectsNegativeTau(t *testing.T) {
 	tr := NewLPFromOccurrences(randomOccurrences(rand.New(rand.NewSource(1))))
 	if _, err := tr.Values([]float64{1, -2}); err == nil {

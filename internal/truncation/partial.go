@@ -16,13 +16,13 @@
 // Bit-equality contract: in the integer-exact regime (every ψ a non-negative
 // integer, Σψ ≤ 2⁵², τ an integer ≤ 2⁵³ — see partition.go) every
 // intermediate on every shard and in the merge is an exact float64 integer,
-// so MergedPartition.Value is bit-identical to PartitionTruncator.Value on
-// the unsharded union, and a core.Run over the merged operator releases the
-// identical estimate for the same noise draws. Outside that regime the merge
-// still computes the mathematically exact optimum (the R2T truncator
-// properties hold, so privacy and utility are unaffected), but the bits may
-// differ from the single-node emulation path at the ulp level; IntExact on
-// the merged operator reports which regime applies.
+// so the merged operator's Value is bit-identical to the operator built from
+// the unsharded union's occurrences — which is itself the merge of its one
+// local part — and a core.Run over it releases the identical estimate for the
+// same noise draws. Outside that regime the merge still computes the
+// mathematically exact optimum (the R2T truncator properties hold, so privacy
+// and utility are unaffected), but without the emulation payload the bits may
+// differ from the single-node emulation path at the ulp level.
 package truncation
 
 import (
@@ -51,155 +51,100 @@ type Partial struct {
 	NumResults int `json:"num_results"`
 }
 
-// NewPartial builds a shard's Partial from its occurrence sets. It errors in
-// exactly the cases where NewPartitionFromOccurrences falls back to the LP
-// operator — those shapes have no mergeable closed form.
-func NewPartial(o *Occurrences) (*Partial, error) {
-	if o.Groups != nil {
-		return nil, fmt.Errorf("truncation: projection queries have no partition partial")
+// Partial returns the operator in its mergeable form: what a shard ships and
+// what MergePartials takes. Sorted aliases the operator's own (immutable)
+// list; treat it as read-only.
+func (t *PartitionTruncator) Partial() *Partial {
+	return &Partial{
+		Sorted:     t.sorted,
+		Free:       t.free,
+		Total:      t.total,
+		IntExact:   t.intExact,
+		Answer:     t.answer,
+		TauStar:    t.tauStar,
+		NumResults: t.numResults,
 	}
-	p := &Partial{IntExact: true, Answer: o.TrueAnswer(), TauStar: o.MaxSensitivity()}
-	sum := make([]float64, o.NumIndividuals)
-	for k, set := range o.Sets {
-		w := o.PsiAt(k)
-		if w <= 0 {
-			continue
-		}
-		if math.IsNaN(w) || math.IsInf(w, 0) {
-			return nil, fmt.Errorf("truncation: invalid ψ %v in partition partial", w)
-		}
-		if len(set) > 1 {
-			return nil, fmt.Errorf("truncation: a join result references %d individuals (not partition-shaped)", len(set))
-		}
-		// Ascending-k accumulation — the same addition sequence as
-		// NewPartitionFromOccurrences, so in the integer regime the bits of
-		// S_j match the unsharded build exactly.
-		if len(set) == 1 {
-			sum[set[0]] += w
-		} else {
-			p.Free += w
-		}
-		if w != math.Trunc(w) {
-			p.IntExact = false
-		}
-		p.Total += w
-		p.NumResults++
-	}
-	if p.Total > maxExactTotal {
-		p.IntExact = false
-	}
-	for _, s := range sum {
-		if s > 0 {
-			p.Sorted = append(p.Sorted, s)
-		}
-	}
-	sort.Float64s(p.Sorted)
-	return p, nil
 }
 
-// MergedPartition is the closed-form truncator over the union of a set of
-// shard Partials. It implements the same Truncator and grid surface as
-// PartitionTruncator (and, like it, deliberately does NOT implement the
-// early-stop Bounder hook, so core.Run takes the identical code path on both
-// the sharded and unsharded sides).
-type MergedPartition struct {
-	sorted   []float64
-	prefix   []float64
-	free     float64
-	total    float64
-	intExact bool
-	answer   float64
-	tauStar  float64
-}
-
-// MergePartials combines per-shard partials into the union truncator. Because
-// individuals are partitioned across shards, concatenating and re-sorting the
-// per-shard ascending lists reproduces the unsharded sorted {S_j} exactly,
-// and the prefix sums — accumulated ascending, the same sequence as the
-// unsharded build — come out bit-identical in the integer-exact regime.
-func MergePartials(parts []*Partial) (*MergedPartition, error) {
+// MergePartials combines per-shard partials into the union truncator (without
+// an emulation payload: remote parts ship only per-individual totals).
+// Because individuals are partitioned across shards, concatenating and
+// re-sorting the per-shard lists reproduces the unsharded sorted {S_j}
+// exactly, and the prefix sums — accumulated ascending, at the one site every
+// PartitionTruncator is built — come out bit-identical in the integer-exact
+// regime.
+//
+// Parts arrive off the wire from other nodes (or from a library caller), so
+// the merge fails closed: a negative or non-finite field, or magnitudes whose
+// sums overflow, would otherwise flow through prefix into a negative or ±Inf
+// release.
+func MergePartials(parts []*Partial) (*PartitionTruncator, error) {
 	if len(parts) == 0 {
 		return nil, fmt.Errorf("truncation: no partials to merge")
 	}
-	m := &MergedPartition{intExact: true}
-	n := 0
 	for i, p := range parts {
 		if p == nil {
 			return nil, fmt.Errorf("truncation: nil partial at index %d", i)
 		}
+		if p.NumResults < 0 {
+			return nil, fmt.Errorf("truncation: partial %d: negative result count %d", i, p.NumResults)
+		}
+		for _, f := range [...]struct {
+			name string
+			v    float64
+		}{{"free", p.Free}, {"total", p.Total}, {"answer", p.Answer}, {"tau_star", p.TauStar}} {
+			if !validMass(f.v) {
+				return nil, fmt.Errorf("truncation: partial %d: invalid %s %v (must be finite, ≥ 0)", i, f.name, f.v)
+			}
+		}
+		for _, s := range p.Sorted {
+			if !validMass(s) {
+				return nil, fmt.Errorf("truncation: partial %d: invalid per-individual total %v (must be finite, ≥ 0)", i, s)
+			}
+		}
+	}
+	t := merge(parts)
+	// Every term is ≥ 0, so free + the last prefix — Value at τ ≥ max S_j —
+	// bounds every value the operator can return.
+	if !validMass(t.answer) || !validMass(t.free+t.prefix[len(t.sorted)]) {
+		return nil, fmt.Errorf("truncation: merged partials overflow float64")
+	}
+	return t, nil
+}
+
+// validMass reports whether v can be a sum of weights: finite and ≥ 0.
+func validMass(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
+// merge builds the operator over the union of parts — the one place sorted,
+// prefix and the regime flag are computed, for a local build (one part) and a
+// router's gather alike.
+func merge(parts []*Partial) *PartitionTruncator {
+	t := &PartitionTruncator{intExact: true}
+	n := 0
+	for _, p := range parts {
 		n += len(p.Sorted)
 	}
-	m.sorted = make([]float64, 0, n)
+	t.sorted = make([]float64, 0, n)
 	for _, p := range parts {
-		m.sorted = append(m.sorted, p.Sorted...)
-		m.free += p.Free
-		m.total += p.Total
-		m.answer += p.Answer
-		if p.TauStar > m.tauStar {
-			m.tauStar = p.TauStar
+		t.sorted = append(t.sorted, p.Sorted...)
+		t.free += p.Free
+		t.total += p.Total
+		t.answer += p.Answer
+		t.numResults += p.NumResults
+		if p.TauStar > t.tauStar {
+			t.tauStar = p.TauStar
 		}
 		if !p.IntExact {
-			m.intExact = false
+			t.intExact = false
 		}
 	}
-	if m.total > maxExactTotal {
-		m.intExact = false
+	if t.total > maxExactTotal {
+		t.intExact = false
 	}
-	sort.Float64s(m.sorted)
-	m.prefix = make([]float64, len(m.sorted)+1)
-	for i, s := range m.sorted {
-		m.prefix[i+1] = m.prefix[i] + s
+	sort.Float64s(t.sorted)
+	t.prefix = make([]float64, len(t.sorted)+1)
+	for i, s := range t.sorted {
+		t.prefix[i+1] = t.prefix[i] + s
 	}
-	return m, nil
+	return t
 }
-
-// Value returns Q(I,τ) for the union, with the same validation surface as
-// PartitionTruncator.Value. Safe for concurrent use (immutable after build).
-func (m *MergedPartition) Value(tau float64) (float64, error) {
-	if tau < 0 {
-		return 0, fmt.Errorf("truncation: negative τ %g", tau)
-	}
-	if tau == 0 {
-		return 0, nil // every variable is capped to zero by its capacity rows
-	}
-	if math.IsNaN(tau) || math.IsInf(tau, 0) {
-		return 0, fmt.Errorf("truncation: invalid τ %v (must be finite, ≥ 0)", tau)
-	}
-	// The sorted-prefix formula: bit-identical to the unsharded fast path in
-	// the integer-exact regime, mathematically exact always (see package
-	// comment for the fractional-ψ ulp caveat).
-	i := sort.SearchFloat64s(m.sorted, math.Nextafter(tau, math.Inf(1)))
-	capped := float64(len(m.sorted) - i)
-	return m.free + m.prefix[i] + tau*capped, nil
-}
-
-// Values evaluates a whole τ schedule; each entry is bit-identical to the
-// corresponding Value call. core.Run routes the full race grid through this.
-func (m *MergedPartition) Values(taus []float64) ([]float64, error) {
-	out := make([]float64, len(taus))
-	for i, tau := range taus {
-		v, err := m.Value(tau)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-// TrueAnswer returns Q(I) over the union.
-func (m *MergedPartition) TrueAnswer() float64 { return m.answer }
-
-// TauStar returns DS_Q(I) over the union (individuals partition across
-// shards, so the max of per-shard maxima is the global max).
-func (m *MergedPartition) TauStar() float64 { return m.tauStar }
-
-// IntExact reports whether the merged operator is in the integer-exact
-// regime, i.e. whether Value is guaranteed bit-identical to the unsharded
-// PartitionTruncator on the union of rows.
-func (m *MergedPartition) IntExact() bool { return m.intExact }
-
-// NumCapacityRows reports the number of referenced individuals in the union.
-func (m *MergedPartition) NumCapacityRows() int { return len(m.sorted) }
-
-var _ Truncator = (*MergedPartition)(nil)

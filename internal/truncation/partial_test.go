@@ -1,6 +1,7 @@
 package truncation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -59,6 +60,49 @@ func randomPartitionInstance(rng *rand.Rand, integral bool) *Occurrences {
 	return o
 }
 
+// partialOf is what a shard ships for its slice: the one occurrence scan, then
+// the operator's mergeable form.
+func partialOf(t *testing.T, o *Occurrences) *Partial {
+	t.Helper()
+	pt := NewPartitionFromOccurrences(o)
+	if pt == nil {
+		t.Fatal("shard slice unexpectedly not partition-shaped")
+	}
+	return pt.Partial()
+}
+
+// requireBitIdentical asserts got and want agree bit for bit on TrueAnswer,
+// TauStar, Value over taus and Values(taus).
+func requireBitIdentical(t *testing.T, label string, got, want *PartitionTruncator, taus []float64) {
+	t.Helper()
+	if !bitEqual(got.TrueAnswer(), want.TrueAnswer()) {
+		t.Fatalf("%s: TrueAnswer %v != %v", label, got.TrueAnswer(), want.TrueAnswer())
+	}
+	if !bitEqual(got.TauStar(), want.TauStar()) {
+		t.Fatalf("%s: TauStar %v != %v", label, got.TauStar(), want.TauStar())
+	}
+	gv, err := got.Values(taus)
+	if err != nil {
+		t.Fatalf("%s: Values: %v", label, err)
+	}
+	for i, tau := range taus {
+		g, err := got.Value(tau)
+		if err != nil {
+			t.Fatalf("%s: Value(%g): %v", label, tau, err)
+		}
+		w, err := want.Value(tau)
+		if err != nil {
+			t.Fatalf("%s: reference Value(%g): %v", label, tau, err)
+		}
+		if !bitEqual(g, w) {
+			t.Fatalf("%s τ=%g: Value %v != reference %v", label, tau, g, w)
+		}
+		if !bitEqual(gv[i], w) {
+			t.Fatalf("%s Values[%d] τ=%g: %v != reference %v", label, i, tau, gv[i], w)
+		}
+	}
+}
+
 // TestPartialMergeBitIdentical: for integer-weight instances, the merged
 // operator over owner-partitioned shards must reproduce the unsharded
 // PartitionTruncator bit for bit across the whole τ grid — the invariant the
@@ -72,51 +116,29 @@ func TestPartialMergeBitIdentical(t *testing.T) {
 		if ref == nil {
 			t.Fatal("reference instance unexpectedly not partition-shaped")
 		}
+		// Local evaluation is the 1-shard merge: the operator's own partial
+		// merges back into an operator equal to it (payload aside).
+		self, err := MergePartials([]*Partial{ref.Partial()})
+		if err != nil {
+			t.Fatalf("MergePartials(own partial): %v", err)
+		}
+		if self.psi != nil || ref.psi == nil {
+			t.Fatal("the emulation payload belongs to occurrence-built operators only")
+		}
+		requireBitIdentical(t, fmt.Sprintf("trial %d self-merge", trial), self, ref, taus)
 		for _, k := range []int{1, 2, 4} {
 			var parts []*Partial
 			for _, so := range splitByOwner(o, k) {
-				p, err := NewPartial(so)
-				if err != nil {
-					t.Fatalf("NewPartial: %v", err)
-				}
-				parts = append(parts, p)
+				parts = append(parts, partialOf(t, so))
 			}
 			m, err := MergePartials(parts)
 			if err != nil {
 				t.Fatalf("MergePartials: %v", err)
 			}
-			if !m.IntExact() {
-				t.Fatalf("trial %d k=%d: integer instance not IntExact", trial, k)
+			if !m.intExact {
+				t.Fatalf("trial %d k=%d: integer instance not in the integer-exact regime", trial, k)
 			}
-			if m.TrueAnswer() != ref.TrueAnswer() {
-				t.Fatalf("trial %d k=%d: TrueAnswer %v != %v", trial, k, m.TrueAnswer(), ref.TrueAnswer())
-			}
-			if m.TauStar() != ref.TauStar() {
-				t.Fatalf("trial %d k=%d: TauStar %v != %v", trial, k, m.TauStar(), ref.TauStar())
-			}
-			for _, tau := range taus {
-				got, err := m.Value(tau)
-				if err != nil {
-					t.Fatalf("merged Value(%g): %v", tau, err)
-				}
-				want, err := ref.Value(tau)
-				if err != nil {
-					t.Fatalf("ref Value(%g): %v", tau, err)
-				}
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("trial %d k=%d τ=%g: merged %v != unsharded %v", trial, k, tau, got, want)
-				}
-			}
-			gv, err := m.Values(taus)
-			if err != nil {
-				t.Fatalf("merged Values: %v", err)
-			}
-			for i, tau := range taus {
-				want, _ := ref.Value(tau)
-				if math.Float64bits(gv[i]) != math.Float64bits(want) {
-					t.Fatalf("trial %d k=%d Values[%d] τ=%g: %v != %v", trial, k, i, tau, gv[i], want)
-				}
-			}
+			requireBitIdentical(t, fmt.Sprintf("trial %d k=%d", trial, k), m, ref, taus)
 		}
 	}
 }
@@ -131,61 +153,81 @@ func TestPartialMergeFractional(t *testing.T) {
 		ref := NewPartitionFromOccurrences(o)
 		var parts []*Partial
 		for _, so := range splitByOwner(o, 3) {
-			p, err := NewPartial(so)
-			if err != nil {
-				t.Fatalf("NewPartial: %v", err)
-			}
-			parts = append(parts, p)
+			parts = append(parts, partialOf(t, so))
 		}
 		m, err := MergePartials(parts)
 		if err != nil {
 			t.Fatalf("MergePartials: %v", err)
 		}
-		if m.IntExact() {
-			t.Fatal("fractional instance reported IntExact")
+		if m.intExact {
+			t.Fatal("fractional instance reported integer-exact")
+		}
+		// A payload-less operator over the very same part answers by the
+		// formula where ref emulates: same bound.
+		self, err := MergePartials([]*Partial{ref.Partial()})
+		if err != nil {
+			t.Fatalf("MergePartials(own partial): %v", err)
 		}
 		for _, tau := range []float64{0.5, 1.7, 4, 100} {
-			got, err := m.Value(tau)
-			if err != nil {
-				t.Fatalf("merged Value(%g): %v", tau, err)
-			}
 			want, err := ref.Value(tau)
 			if err != nil {
 				t.Fatalf("ref Value(%g): %v", tau, err)
 			}
-			if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
-				t.Fatalf("trial %d τ=%g: merged %v too far from %v", trial, tau, got, want)
+			for label, op := range map[string]*PartitionTruncator{"3-shard merge": m, "self-merge": self} {
+				got, err := op.Value(tau)
+				if err != nil {
+					t.Fatalf("%s Value(%g): %v", label, tau, err)
+				}
+				if math.Abs(got-want) > 1e-9*(1+math.Abs(want)) {
+					t.Fatalf("trial %d τ=%g: %s %v too far from %v", trial, tau, label, got, want)
+				}
 			}
 		}
 	}
 }
 
 func TestPartialRejectsUnmergeableShapes(t *testing.T) {
-	if _, err := NewPartial(&Occurrences{Groups: [][]int{{0}}, GroupPsi: []float64{1}}); err == nil {
-		t.Fatal("projection instance accepted")
-	}
-	selfJoin := &Occurrences{NumIndividuals: 2, Sets: [][]int32{{0, 1}}}
-	if _, err := NewPartial(selfJoin); err == nil {
-		t.Fatal("multi-individual set accepted")
-	}
-	bad := &Occurrences{NumIndividuals: 1, Sets: [][]int32{{0}}, Psi: []float64{math.NaN()}}
-	if _, err := NewPartial(bad); err == nil {
-		t.Fatal("NaN ψ accepted")
-	}
+	// Shapes with no closed form never reach a Partial: the one scan returns
+	// nil for them (TestPartitionDetection). What is left to reject is what
+	// the merge itself can be handed.
 	if _, err := MergePartials(nil); err == nil {
-		t.Fatal("empty merge accepted")
+		t.Error("empty merge accepted")
 	}
-	if _, err := MergePartials([]*Partial{nil}); err == nil {
-		t.Fatal("nil partial accepted")
+	// A hostile or buggy shard reply (or library caller) must fail the merge,
+	// not flow into prefix and out as a negative or ±Inf release.
+	ok := func() *Partial {
+		return &Partial{Sorted: []float64{1, 2}, Total: 3, IntExact: true, Answer: 3, TauStar: 2, NumResults: 3}
+	}
+	if _, err := MergePartials([]*Partial{ok(), ok()}); err != nil {
+		t.Fatalf("well-formed partials rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for name, parts := range map[string][]*Partial{
+		"nil partial":          {nil},
+		"negative Sorted":      {ok(), func() *Partial { p := ok(); p.Sorted[0] = -1; return p }()},
+		"NaN Sorted":           {func() *Partial { p := ok(); p.Sorted[1] = nan; return p }()},
+		"+Inf Sorted":          {func() *Partial { p := ok(); p.Sorted[1] = inf; return p }()},
+		"negative Free":        {func() *Partial { p := ok(); p.Free = -0.5; return p }()},
+		"-Inf Free":            {func() *Partial { p := ok(); p.Free = -inf; return p }()},
+		"negative Total":       {func() *Partial { p := ok(); p.Total = -3; return p }()},
+		"NaN Total":            {func() *Partial { p := ok(); p.Total = nan; return p }()},
+		"negative Answer":      {func() *Partial { p := ok(); p.Answer = -3; return p }()},
+		"+Inf Answer":          {func() *Partial { p := ok(); p.Answer = inf; return p }()},
+		"negative TauStar":     {func() *Partial { p := ok(); p.TauStar = -2; return p }()},
+		"NaN TauStar":          {func() *Partial { p := ok(); p.TauStar = nan; return p }()},
+		"negative NumResults":  {func() *Partial { p := ok(); p.NumResults = -1; return p }()},
+		"Sorted sum overflows": {{Sorted: []float64{1e308}}, {Sorted: []float64{1e308}}},
+		"Free sum overflows":   {{Free: 1e308}, {Free: 1e308}},
+		"Answer sum overflows": {{Answer: 1e308}, {Answer: 1e308}},
+	} {
+		if m, err := MergePartials(parts); err == nil {
+			t.Errorf("%s: merge accepted (%+v)", name, m)
+		}
 	}
 }
 
-func TestMergedPartitionValueValidation(t *testing.T) {
-	p, err := NewPartial(&Occurrences{NumIndividuals: 1, Sets: [][]int32{{0}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := MergePartials([]*Partial{p})
+func TestPartitionMergedValueValidation(t *testing.T) {
+	m, err := MergePartials([]*Partial{partialOf(t, &Occurrences{NumIndividuals: 1, Sets: [][]int32{{0}}})})
 	if err != nil {
 		t.Fatal(err)
 	}

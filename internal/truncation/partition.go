@@ -53,7 +53,6 @@ import (
 	"math"
 	"sort"
 
-	"r2t/internal/exec"
 	"r2t/internal/obs"
 )
 
@@ -67,33 +66,46 @@ const maxExactTotal = 1 << 52
 const maxExactTau = 1 << 53
 
 // PartitionTruncator is the closed-form Q(I,τ) for queries whose capacity
-// rows partition the LP variables. It implements the same Truncator (and
-// grid) surface as LPTruncator and is bit-identical to it everywhere.
+// rows partition the LP variables — the one operator behind both a local
+// evaluation and a router's merge of shard partials (MergePartials; local is
+// the 1-shard merge). It implements the same Truncator (and grid) surface as
+// LPTruncator and, built from occurrences, is bit-identical to it everywhere.
 type PartitionTruncator struct {
-	psi   []float64 // ψ per LP variable (occurrences with ψ > 0, original order)
-	owner []int32   // per LP variable: owning individual, -1 = in no capacity row
-	sum   []float64 // per individual: S_j, accumulated in ascending variable order
-	free  float64   // Σψ over variables in no capacity row (at ub for every τ > 0)
-
-	sorted []float64 // the positive S_j ascending
+	sorted []float64 // the positive S_j ascending, over every merged part
 	prefix []float64 // prefix[i] = Σ sorted[:i]
+	free   float64   // Σψ over variables in no capacity row (at ub for every τ > 0)
+	total  float64   // Σψ over all variables: the integer-exact regime's bound
 
 	intExact bool // integer-exact regime applies (see package comment)
 
-	answer  float64
-	tauStar float64
-	rec     *obs.Recorder
+	answer     float64
+	tauStar    float64
+	numResults int // LP variables: join results with ψ > 0
+
+	// Emulation payload, what valueEmulate replays. Present when built from
+	// occurrences; nil when merged from remote partials, which ship only the
+	// per-individual totals.
+	psi   []float64 // ψ per LP variable, original order
+	owner []int32   // per LP variable: owning individual, -1 = in no capacity row
+	sum   []float64 // per individual: S_j, accumulated in ascending variable order
+
+	rec *obs.Recorder
 }
 
 // NewPartitionFromOccurrences returns the closed-form truncator when the
 // capacity rows partition the variables — every occurrence with ψ > 0
 // references at most one individual and carries a finite weight — and nil
-// when the general LP operator is needed. Detection is O(n).
+// when the general LP operator is needed. It is the package's one scan that
+// classifies occurrences as partition-shaped: O(n), then a merge of the one
+// local part, with the emulation payload attached.
 func NewPartitionFromOccurrences(o *Occurrences) *PartitionTruncator {
 	if o.Groups != nil {
 		return nil // SPJA group rows couple variables across individuals
 	}
-	nVars := 0
+	p := &Partial{IntExact: true}
+	psi := make([]float64, 0, len(o.Sets))
+	owner := make([]int32, 0, len(o.Sets))
+	sum := make([]float64, o.NumIndividuals)
 	for k, set := range o.Sets {
 		w := o.PsiAt(k)
 		if w <= 0 {
@@ -105,63 +117,41 @@ func NewPartitionFromOccurrences(o *Occurrences) *PartitionTruncator {
 		if len(set) > 1 {
 			return nil // shared provenance: rows genuinely overlap
 		}
-		nVars++
-	}
-
-	t := &PartitionTruncator{
-		psi:      make([]float64, 0, nVars),
-		owner:    make([]int32, 0, nVars),
-		sum:      make([]float64, o.NumIndividuals),
-		intExact: true,
-		answer:   o.TrueAnswer(),
-		tauStar:  o.MaxSensitivity(),
-	}
-	total := 0.0
-	for k, set := range o.Sets {
-		w := o.PsiAt(k)
-		if w <= 0 {
-			continue
-		}
 		j := int32(-1)
 		if len(set) == 1 {
 			j = set[0]
 			// Ascending-k accumulation: the same addition sequence as the LP
 			// row sums (Σ 1.0·ψ in row order), so the redundancy predicate
 			// compares identical bits.
-			t.sum[j] += w
+			sum[j] += w
 		} else {
-			t.free += w
+			p.Free += w
 		}
-		t.psi = append(t.psi, w)
-		t.owner = append(t.owner, j)
+		psi = append(psi, w)
+		owner = append(owner, j)
 		if w != math.Trunc(w) {
-			t.intExact = false
+			p.IntExact = false
 		}
-		total += w
+		p.Total += w
 	}
-	if total > maxExactTotal {
-		t.intExact = false
-	}
-	for _, s := range t.sum {
+	p.Answer, p.TauStar, p.NumResults = o.TrueAnswer(), o.MaxSensitivity(), len(psi)
+	for _, s := range sum {
 		if s > 0 {
-			t.sorted = append(t.sorted, s)
+			p.Sorted = append(p.Sorted, s) // merge sorts
 		}
 	}
-	sort.Float64s(t.sorted)
-	t.prefix = make([]float64, len(t.sorted)+1)
-	for i, s := range t.sorted {
-		t.prefix[i+1] = t.prefix[i] + s
-	}
+	t := merge([]*Partial{p})
+	t.psi, t.owner, t.sum = psi, owner, sum
 	return t
 }
 
-// NewPartition is NewPartitionFromOccurrences over an evaluated query.
-func NewPartition(res *exec.Result) *PartitionTruncator {
-	return NewPartitionFromOccurrences(FromResult(res))
-}
-
-// Value returns Q(I,τ), bit-identical to LPTruncator.Value on the same
-// occurrences. Safe for concurrent use (the struct is immutable after build).
+// Value returns Q(I,τ). Built from occurrences it is bit-identical to
+// LPTruncator.Value on them: the sorted-prefix formula in the integer-exact
+// regime, the emulation otherwise. Merged from remote partials there is no
+// payload to emulate over and the formula answers at every τ — the same bits
+// in the integer-exact regime, the mathematically exact optimum up to float
+// reassociation outside it (partial.go). Safe for concurrent use (the struct
+// is immutable after build).
 func (t *PartitionTruncator) Value(tau float64) (float64, error) {
 	if tau < 0 {
 		return 0, fmt.Errorf("truncation: negative τ %g", tau)
@@ -174,10 +164,10 @@ func (t *PartitionTruncator) Value(tau float64) (float64, error) {
 		return 0, fmt.Errorf("truncation: invalid τ %v (must be finite, ≥ 0)", tau)
 	}
 	t.rec.Add(obs.CtrPartitionValues, 1)
-	if t.intExact && tau == math.Trunc(tau) && tau <= maxExactTau {
-		return t.valueSorted(tau), nil
+	if t.psi != nil && !(t.intExact && tau == math.Trunc(tau) && tau <= maxExactTau) {
+		return t.valueEmulate(tau), nil
 	}
-	return t.valueEmulate(tau), nil
+	return t.valueSorted(tau), nil
 }
 
 // valueSorted is the O(log n) integer-exact formula: with every intermediate
@@ -235,11 +225,6 @@ func (t *PartitionTruncator) valueEmulate(tau float64) float64 {
 // corresponding Value call (and hence to the LP grid pass). core.Run routes
 // the full race grid through this.
 func (t *PartitionTruncator) Values(taus []float64) ([]float64, error) {
-	for _, tau := range taus {
-		if tau < 0 {
-			return nil, fmt.Errorf("truncation: negative τ %g", tau)
-		}
-	}
 	out := make([]float64, len(taus))
 	for i, tau := range taus {
 		v, err := t.Value(tau)
@@ -254,14 +239,9 @@ func (t *PartitionTruncator) Values(taus []float64) ([]float64, error) {
 // TrueAnswer returns Q(I).
 func (t *PartitionTruncator) TrueAnswer() float64 { return t.answer }
 
-// TauStar returns DS_Q(I), computed exactly as the LP truncator computes it.
+// TauStar returns DS_Q(I), computed exactly as the LP truncator computes it
+// (merged: the max over the parts, since individuals partition across shards).
 func (t *PartitionTruncator) TauStar() float64 { return t.tauStar }
-
-// NumVariables reports the number of LP variables the fast path replaced.
-func (t *PartitionTruncator) NumVariables() int { return len(t.psi) }
-
-// NumCapacityRows reports the number of referenced individuals.
-func (t *PartitionTruncator) NumCapacityRows() int { return len(t.sorted) }
 
 // SetRecorder attaches a profiler counting Value evaluations served by the
 // fast path. Must be set before concurrent Value callers start.

@@ -58,8 +58,8 @@ func TestPartitionDetection(t *testing.T) {
 	if tr == nil {
 		t.Fatal("free variables and nonpositive ψ must not disqualify")
 	}
-	if tr.NumVariables() != 4 { // k=0 (ψ=-1) and k=1 (ψ=0) dropped
-		t.Fatalf("NumVariables = %d, want 4", tr.NumVariables())
+	if n := tr.Partial().NumResults; n != 4 { // k=0 (ψ=-1) and k=1 (ψ=0) dropped
+		t.Fatalf("NumResults = %d, want 4", n)
 	}
 }
 

@@ -158,7 +158,7 @@ func NewLPFromOccurrences(o *Occurrences) *LPTruncator {
 // The executor already interns refs (Result.Universe + per-row RefIDs), so
 // the conversion never hashes a TupleRef: it restricts the universe to the
 // ids that occur in res.Rows (shared-universe results — Split halves,
-// RunPartitioned partitions — may reference only a subset), sorts those, and
+// PartitionedResult partitions — may reference only a subset), sorts those, and
 // renames each row's ids through the resulting permutation.
 func FromResult(res *exec.Result) *Occurrences {
 	occurs := make([]bool, len(res.Universe))
@@ -250,12 +250,6 @@ func (t *LPTruncator) gridSolver() (*lp.GridSolver, error) {
 	return t.grid, t.gridErr
 }
 
-// ablated reports whether a solver ablation switch is on; those benchmark the
-// full legacy per-solve pipeline, so the grid skeleton must be bypassed.
-func (t *LPTruncator) ablated() bool {
-	return t.solveOpt.NoPresolve || t.solveOpt.NoDecompose || t.solveOpt.NoCrash
-}
-
 // Value solves the truncation LP at τ. Results are bit-identical to solving
 // the materialized per-τ problem with lp.Solve.
 func (t *LPTruncator) Value(tau float64) (float64, error) {
@@ -265,18 +259,11 @@ func (t *LPTruncator) Value(tau float64) (float64, error) {
 	if tau == 0 {
 		return 0, nil // every variable is capped to zero by its capacity rows
 	}
-	var (
-		sol *lp.Solution
-		err error
-	)
-	if t.ablated() {
-		sol, err = lp.Solve(t.problem(tau), t.solveOpt)
-	} else {
-		var g *lp.GridSolver
-		if g, err = t.gridSolver(); err == nil {
-			sol, err = g.SolveTau(tau, t.solveOpt)
-		}
+	g, err := t.gridSolver()
+	if err != nil {
+		return 0, err
 	}
+	sol, err := g.SolveTau(tau, t.solveOpt)
 	if err != nil {
 		return 0, err
 	}
@@ -312,16 +299,6 @@ func (t *LPTruncator) Values(taus []float64) ([]float64, error) {
 			return nil, fmt.Errorf("truncation: negative τ %g", tau)
 		}
 	}
-	if t.ablated() {
-		for i, tau := range taus {
-			v, err := t.Value(tau)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
-	}
 	pos := make([]float64, 0, len(taus))
 	idx := make([]int, 0, len(taus))
 	for i, tau := range taus {
@@ -351,8 +328,8 @@ func (t *LPTruncator) Values(taus []float64) ([]float64, error) {
 	return out, nil
 }
 
-// SetSolveOptions overrides the LP solver options (used by the ablation
-// benchmarks; the defaults are correct for production use).
+// SetSolveOptions overrides the LP solver options (the iteration-limit tests
+// lower MaxIters; the defaults are correct for production use).
 func (t *LPTruncator) SetSolveOptions(opt lp.Options) { t.solveOpt = opt }
 
 // SetRecorder attaches a profiler; every subsequent solve folds its work

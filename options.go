@@ -20,8 +20,8 @@ type Options struct {
 	// Beta is the failure probability of the utility guarantee (default 0.1).
 	// It does not affect privacy.
 	Beta float64
-	// Noise overrides the noise source (default: a fresh source seeded from
-	// the system CSPRNG — see dp.CryptoSeed).
+	// Noise overrides the noise source (default: a fresh source keyed from
+	// the system CSPRNG — see dp.NewCryptoSource).
 	Noise NoiseSource
 	// EarlyStop enables the dual-bound race pruning of Algorithm 1.
 	EarlyStop bool

@@ -11,12 +11,13 @@ import (
 // Partial is one shard's mergeable contribution to a partition-shaped
 // truncator (see internal/truncation/partial.go). A router merges the
 // per-shard partials with MergePartials and runs the release mechanism over
-// the merged operator; in the integer-exact regime the released estimate is
-// bit-identical to evaluating the unsharded union of rows.
+// the merged operator — the same type a local evaluation builds; in the
+// integer-exact regime the released estimate is bit-identical to evaluating
+// the unsharded union of rows.
 type Partial = truncation.Partial
 
 // MergePartials combines per-shard partials into the union truncator.
-func MergePartials(parts []*Partial) (*truncation.MergedPartition, error) {
+func MergePartials(parts []*Partial) (*truncation.PartitionTruncator, error) {
 	return truncation.MergePartials(parts)
 }
 
@@ -53,8 +54,8 @@ func (db *DB) GroupPartials(ctx context.Context, sqlText string, column string, 
 	return db.partials(ctx, sqlText, opt, &groupSpec{column: column, values: groups})
 }
 
-// partials is prepare → evaluate with the units left in their mergeable
-// form instead of being built into operators.
+// partials is prepare → evaluate, with each unit's operator handed out in its
+// mergeable form.
 func (db *DB) partials(ctx context.Context, sqlText string, opt Options, gb *groupSpec) (*QueryPartials, error) {
 	p, err := db.prepare(sqlText, opt, gb)
 	if err != nil {
@@ -68,19 +69,17 @@ func (db *DB) partials(ctx context.Context, sqlText string, opt Options, gb *gro
 	if len(p.plan.ProjVars) > 0 {
 		return nil, fmt.Errorf("r2t: projection queries have no mergeable partials")
 	}
-	c, err := db.coreFor(ctx, p)
+	units, err := db.Evaluate(ctx, p)
 	if err != nil {
 		return nil, err
 	}
-	views, err := p.results(c)
-	if err != nil {
-		return nil, err
-	}
-	out := &QueryPartials{Units: make([]*Partial, len(views)), Signed: p.signed}
-	for i, res := range views {
-		if out.Units[i], err = truncation.NewPartial(truncation.FromResult(res)); err != nil {
-			return nil, fmt.Errorf("r2t: release unit %d: %w", i, err)
+	out := &QueryPartials{Units: make([]*Partial, len(units)), Signed: p.signed}
+	for i, u := range units {
+		pt, ok := u.Op.(*truncation.PartitionTruncator)
+		if !ok {
+			return nil, fmt.Errorf("r2t: release unit %d is not partition-shaped: its operator (%T) has no mergeable partial", i, u.Op)
 		}
+		out.Units[i] = pt.Partial()
 	}
 	return out, nil
 }

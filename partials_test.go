@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"r2t/internal/core"
@@ -84,7 +85,7 @@ func buildShardedShop(t *testing.T, rng *rand.Rand, nShards int) (*DB, []*DB) {
 
 // mergedUnits evaluates partialsOf on every shard and merges unit-by-unit:
 // the router's gather step, minus the wire.
-func mergedUnits(t *testing.T, shards []*DB, partialsOf func(*DB) (*QueryPartials, error)) []*truncation.MergedPartition {
+func mergedUnits(t *testing.T, shards []*DB, partialsOf func(*DB) (*QueryPartials, error)) []*truncation.PartitionTruncator {
 	t.Helper()
 	perShard := make([]*QueryPartials, len(shards))
 	for i, sdb := range shards {
@@ -101,7 +102,7 @@ func mergedUnits(t *testing.T, shards []*DB, partialsOf func(*DB) (*QueryPartial
 				i, len(qp.Units), qp.Signed, n, perShard[0].Signed)
 		}
 	}
-	out := make([]*truncation.MergedPartition, n)
+	out := make([]*truncation.PartitionTruncator, n)
 	for k := 0; k < n; k++ {
 		parts := make([]*Partial, len(perShard))
 		for i, qp := range perShard {
@@ -118,7 +119,7 @@ func mergedUnits(t *testing.T, shards []*DB, partialsOf func(*DB) (*QueryPartial
 
 // releaseMerged runs the r2t backend over one merged operator, exactly as
 // privatize does for the unsharded twin.
-func releaseMerged(t *testing.T, m *truncation.MergedPartition, opt Options) float64 {
+func releaseMerged(t *testing.T, m *truncation.PartitionTruncator, opt Options) float64 {
 	t.Helper()
 	be, ok := mech.ByName(mech.MechR2T)
 	if !ok {
@@ -139,7 +140,7 @@ func releaseMerged(t *testing.T, m *truncation.MergedPartition, opt Options) flo
 
 // releaseMergedSigned mirrors privatizeSigned: each half at ε/2, positive
 // first, both off the same noise source.
-func releaseMergedSigned(t *testing.T, pos, neg *truncation.MergedPartition, opt Options) float64 {
+func releaseMergedSigned(t *testing.T, pos, neg *truncation.PartitionTruncator, opt Options) float64 {
 	t.Helper()
 	cfg := core.Config{
 		Epsilon:   opt.Epsilon / 2,
@@ -306,6 +307,22 @@ func TestPartialsGates(t *testing.T) {
 	}
 	if _, err := full.Partials(ctx, `SELECT COUNT(DISTINCT o.CK) FROM Orders o`, opt); err == nil {
 		t.Error("projection query must not produce partials")
+	}
+	// Units that evaluate to another operator have no mergeable form: a
+	// self-join builds the LP (a join result references two customers), and
+	// Options.Naive the naive truncator. An error, never a panic (Partials has
+	// no charge path at all).
+	const selfJoin = `SELECT COUNT(*) FROM Orders a, Orders b WHERE a.sku = b.sku`
+	if _, err := full.Partials(ctx, selfJoin, opt); err == nil || !strings.Contains(err.Error(), "not partition-shaped") {
+		t.Errorf("self-join partials: err = %v, want not partition-shaped", err)
+	}
+	naive := opt
+	naive.Naive = true
+	if _, err := full.Partials(ctx, `SELECT COUNT(*) FROM Orders`, naive); err == nil || !strings.Contains(err.Error(), "not partition-shaped") {
+		t.Errorf("naive partials: err = %v, want not partition-shaped", err)
+	}
+	if _, err := full.Partials(ctx, selfJoin, naive); err == nil {
+		t.Error("naive self-join partials must fail")
 	}
 	if err := full.ShardCheck(`SELECT COUNT(*) FROM Catalog`, opt.Primary, "Customer",
 		map[string]string{"Customer": "CK", "Orders": "CK"}); err == nil {

@@ -7,8 +7,9 @@ package r2t
 //	          the query, the schema and the public parameters, never the
 //	          instance; callers that charge ε do so right after it.
 //	evaluate  join core → aggregate views → one truncation operator per release
-//	          unit. The only stage that reads the instance; a router builds
-//	          the same units from its shards' partials (Prepared.MergeUnits).
+//	          unit. The only stage that reads the instance; a shard hands its
+//	          units out in mergeable form (DB.Partials) and a router builds
+//	          the same operator type from them (Prepared.MergeUnits).
 //	release   the chosen mechanism over each unit: plain, the signed ε/2 pair,
 //	          the per-group ε/G split. Reads the units and the noise source.
 
@@ -284,7 +285,8 @@ func unitOf(res *exec.Result) Unit {
 
 // MergeUnits is the router's evaluate stage: shardUnits[s] holds shard s's
 // QueryPartials.Units for this query, and unit u of the result is the closed
-// form over the union of every shard's unit u (its truncation-build stage).
+// form over the union of every shard's unit u (its truncation-build stage) —
+// the PartitionTruncator units builds locally, minus the emulation payload.
 func (p *Prepared) MergeUnits(shardUnits [][]*Partial) ([]Unit, error) {
 	defer p.rec.Time(obs.StageTruncationBuild)()
 	units := make([]Unit, p.numUnits())
@@ -315,7 +317,7 @@ func (p *Prepared) numUnits() int {
 }
 
 // Release runs the release stage: the chosen mechanism over the units, drawing
-// from noise (nil = a fresh source seeded from the system CSPRNG). It returns
+// from noise (nil = a fresh source keyed from the system CSPRNG). It returns
 // one Answer per release — one, or one per group in group order — each ε-DP at
 // the prepared per-release budget. QueryContext's charge semantics apply: a
 // failed or cancelled release has drawn its noise, so its charge stands.
@@ -324,7 +326,7 @@ func (p *Prepared) Release(ctx context.Context, units []Unit, noise NoiseSource)
 		return nil, fmt.Errorf("r2t: release got %d units, the prepared query has %d", len(units), p.numUnits())
 	}
 	if noise == nil {
-		noise = dp.NewSource(dp.CryptoSeed())
+		noise = dp.NewCryptoSource()
 	}
 	stride := len(units) / max(len(p.groups), 1)
 	answers := make([]*Answer, 0, len(units)/stride)

@@ -51,7 +51,7 @@ done <scripts/gates.txt
 [ "$missing" -eq 0 ]
 
 # Benchmark-compile smoke: every benchmark builds and runs one iteration, so
-# the paper-table, micro and ablation benchmarks can't silently rot.
+# the paper-table and micro benchmarks can't silently rot.
 go test -run=NONE -bench=. -benchtime=1x ./...
 
 echo "check.sh: all green"
