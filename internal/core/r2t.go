@@ -245,14 +245,24 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		race := Race{Tau: tau}
 		if useEarly {
 			b := bounded.Bounder(tau)
+			// Cheap bounds first: the y = 0 bound comes with the bounder and
+			// the uniform-λ bound is round 0's first step, so trying them
+			// before paying for subgradient steps only stops earlier on the
+			// same sequence. Bounds never rise and a serial race cannot move
+			// best, so every decision equals checking after the full round.
+			pruned := b.Bound()+shift <= readBest() || b.Tighten(1)+shift <= readBest()
+			steps := 0
 			prev := math.Inf(1)
-			for round := 0; round < dualRounds; round++ {
-				bound := b.Tighten(dualItersPerRound)
+			for round := 0; !pruned && round < dualRounds; round++ {
+				iters := dualItersPerRound
+				if round == 0 {
+					iters-- // the uniform step above was round 0's first
+				}
+				bound := b.Tighten(iters)
+				steps += iters
 				if bound+shift <= readBest() {
-					race.Pruned = true
-					race.Duration = time.Since(raceStart)
-					finish(race)
-					return nil
+					pruned = true
+					break
 				}
 				// The bound has plateaued without proving a prune: further
 				// subgradient rounds are wasted — solve exactly instead.
@@ -262,6 +272,13 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 					break
 				}
 				prev = bound
+			}
+			cfg.Recorder.Add(obs.CtrDualSteps, int64(steps))
+			if pruned {
+				race.Pruned = true
+				race.Duration = time.Since(raceStart)
+				finish(race)
+				return nil
 			}
 		}
 		v, err := tr.Value(tau)

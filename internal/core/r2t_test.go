@@ -192,68 +192,76 @@ func TestTheoremErrorBound(t *testing.T) {
 
 func TestEarlyStopMatchesPlain(t *testing.T) {
 	// With identical noise streams, Algorithm 1 (early stop) must release
-	// exactly the same value as the plain algorithm: pruned races provably
-	// cannot win.
-	inst, s := starInstance(t, []int{3, 5, 9, 17, 30})
-	tr := edgeTruncator(t, inst, s)
-	for seed := int64(0); seed < 50; seed++ {
-		plainOut, err := Run(tr, Config{Epsilon: 1, GSQ: 256, Noise: dp.NewSource(seed)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		earlyOut, err := Run(tr, Config{Epsilon: 1, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(plainOut.Estimate-earlyOut.Estimate) > 1e-6 {
-			t.Fatalf("seed %d: early stop %g != plain %g", seed, earlyOut.Estimate, plainOut.Estimate)
+	// exactly the same bits as the plain algorithm: pruned races provably
+	// cannot win, and the races that survive are solved exactly.
+	// ε = 4 makes most releases beat the floor, so the equality is not
+	// mostly 0 == 0.
+	for _, fx := range earlyStopFixtures(t) {
+		for _, eps := range []float64{1, 4} {
+			for seed := int64(0); seed < 50; seed++ {
+				plainOut, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				earlyOut, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(plainOut.Estimate, earlyOut.Estimate) || plainOut.WinnerTau != earlyOut.WinnerTau {
+					t.Fatalf("%s ε=%g seed %d: early stop %v (τ=%g) != plain %v (τ=%g)", fx.name, eps, seed,
+						earlyOut.Estimate, earlyOut.WinnerTau, plainOut.Estimate, plainOut.WinnerTau)
+				}
+			}
 		}
 	}
 }
 
 func TestEarlyStopPrunesSomething(t *testing.T) {
+	// Both prune paths must stay live: races stopped by a bound that needs
+	// no subgradient step (y = 0 or uniform) and races stopped after steps.
 	inst, s := starInstance(t, []int{2, 2, 2, 30})
-	tr := edgeTruncator(t, inst, s)
-	pruned := 0
+	tr := record(edgeTruncator(t, inst, s))
+	var stages [numPruneStages]int
 	for seed := int64(0); seed < 20; seed++ {
-		out, err := Run(tr, Config{Epsilon: 8, GSQ: 1 << 16, Noise: dp.NewSource(seed), EarlyStop: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, r := range out.Races {
-			if r.Pruned {
-				pruned++
-			}
+		_, n := runStages(t, tr, Config{Epsilon: 8, GSQ: 1 << 16, Noise: dp.NewSource(seed)})
+		for i := range n {
+			stages[i] += n[i]
 		}
 	}
-	if pruned == 0 {
-		t.Error("early stop never pruned a race on an easy instance")
+	if stages[prunedAtZero]+stages[prunedAtUniform] == 0 {
+		t.Error("early stop never pruned a race before its first subgradient step")
+	}
+	if stages[prunedAfterSteps] == 0 {
+		t.Error("early stop never pruned a race after subgradient steps")
 	}
 }
 
 func TestParallelWorkersMatchSerial(t *testing.T) {
-	// The released estimate must be identical with any worker count; only
-	// the pruned/solved split may differ (pruning is sound either way).
-	inst, s := starInstance(t, []int{3, 5, 9, 17, 30})
-	tr := edgeTruncator(t, inst, s)
-	for seed := int64(0); seed < 20; seed++ {
-		serial, err := Run(tr, Config{Epsilon: 1, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := Run(tr, Config{Epsilon: 1, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true, Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(serial.Estimate-parallel.Estimate) > 1e-6 {
-			t.Fatalf("seed %d: parallel %g != serial %g", seed, parallel.Estimate, serial.Estimate)
-		}
-		if len(parallel.Races) != len(serial.Races) {
-			t.Fatalf("seed %d: race counts differ", seed)
-		}
-		for i := 1; i < len(parallel.Races); i++ {
-			if parallel.Races[i].Tau >= parallel.Races[i-1].Tau {
-				t.Fatal("parallel diagnostics not sorted by descending τ")
+	// The released estimate must be bit-identical with any worker count;
+	// only the pruned/solved split may differ (pruning is sound either way).
+	for _, fx := range earlyStopFixtures(t) {
+		for _, eps := range []float64{1, 4} {
+			for seed := int64(0); seed < 20; seed++ {
+				serial, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				parallel, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true, Workers: 4})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !sameBits(serial.Estimate, parallel.Estimate) || serial.WinnerTau != parallel.WinnerTau {
+					t.Fatalf("%s ε=%g seed %d: parallel %v (τ=%g) != serial %v (τ=%g)", fx.name, eps, seed,
+						parallel.Estimate, parallel.WinnerTau, serial.Estimate, serial.WinnerTau)
+				}
+				if len(parallel.Races) != len(serial.Races) {
+					t.Fatalf("%s seed %d: race counts differ", fx.name, seed)
+				}
+				for i := 1; i < len(parallel.Races); i++ {
+					if parallel.Races[i].Tau >= parallel.Races[i-1].Tau {
+						t.Fatal("parallel diagnostics not sorted by descending τ")
+					}
+				}
 			}
 		}
 	}

@@ -25,6 +25,7 @@ package lp
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"r2t/internal/fault"
 )
@@ -46,9 +47,9 @@ type GridSolver struct {
 	rowLive []bool      // row can be live at some τ (nonempty, not always-redundant)
 	coarse  []gridComp  // components over all eligible rows
 
-	// shared state for DualBounder construction (over the raw rows, as
-	// NewDualBounder computes it).
-	colA []float64
+	// the dual bounders' shared skeleton, built on the first Bounder call
+	dualOnce sync.Once
+	dual     *dualSkeleton
 }
 
 // gridComp is one connected component of the full (τ → 0⁺) structure with its
@@ -138,14 +139,6 @@ func NewGridSolver(p *Problem, tauRows []int) (*GridSolver, error) {
 	for k := 0; k < p.NumVars; k++ {
 		if live[k] && !inRow[k] {
 			g.ubFixed = append(g.ubFixed, k)
-		}
-	}
-
-	// Column sums over the raw rows, shared by every Bounder.
-	g.colA = make([]float64, p.NumVars)
-	for _, r := range p.Rows {
-		for j, k := range r.Idx {
-			g.colA[k] += r.Coef[j]
 		}
 	}
 	return g, nil

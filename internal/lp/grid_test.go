@@ -1,6 +1,9 @@
 package lp
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"sync"
@@ -198,8 +201,102 @@ func TestGridBounderMatchesNewDualBounder(t *testing.T) {
 	}
 }
 
+// dualBoundPin is the digest of TestDualBoundSequencePinned's bound
+// sequences, recorded when every bounder still rebuilt its column sums and
+// re-sorted its breakpoints per call. R2T's early-stop decisions compare
+// these bounds against noisy values, so a kernel change that moves one ulp
+// must show up here rather than as a silently different pruned/solved split.
+const dualBoundPin = "7dcc316c32fcbe6faa10ff36fb37e1880ae0a0783e4c35ff4121b470d659ed34"
+
+func TestDualBoundSequencePinned(t *testing.T) {
+	h := sha256.New()
+	var buf [8]byte
+	put := func(f float64) {
+		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(f))
+		h.Write(buf[:])
+	}
+	rng := rand.New(rand.NewSource(71))
+	for trial := 0; trial < 40; trial++ {
+		// Unit rows (the truncation shape, duplicates included) and general
+		// coefficients, over non-dyadic bounds so rounding order matters.
+		n, m := 20+rng.Intn(200), 5+rng.Intn(60)
+		p := NewProblem(n)
+		for k := 0; k < n; k++ {
+			p.C[k] = 1
+			if rng.Intn(5) == 0 {
+				p.C[k] = rng.Float64()*3 - 0.5
+			}
+			p.UB[k] = rng.Float64() * 7
+		}
+		for i := 0; i < m; i++ {
+			var idx []int
+			var cf []float64
+			for j := 1 + rng.Intn(12); j > 0; j-- {
+				idx = append(idx, rng.Intn(n))
+				c := 1.0
+				if trial%2 == 1 {
+					c = 0.1 + rng.Float64()*2
+				}
+				cf = append(cf, c)
+			}
+			p.AddRow(idx, cf, rng.Float64()*10)
+		}
+		var tauRows []int
+		for i := range p.Rows {
+			if rng.Intn(4) > 0 {
+				tauRows = append(tauRows, i)
+			}
+		}
+		g, err := NewGridSolver(p, tauRows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tau := range []float64{0.3, 1, 2, 8, 64} {
+			ref, got := NewDualBounder(materialize(p, tauRows, tau)), g.Bounder(tau)
+			put(got.Bound())
+			// core.Run's schedule: the uniform step, round 0's remaining 19
+			// steps, then full rounds.
+			for _, iters := range []int{1, 19, 20, 20, 20} {
+				a, b := ref.Tighten(iters), got.Tighten(iters)
+				if !sameBits(a, b) {
+					t.Fatalf("trial %d τ=%g: grid bound %v != materialized %v", trial, tau, b, a)
+				}
+				put(b)
+			}
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != dualBoundPin {
+		t.Fatalf("dual bound sequences moved: digest %s, pinned %s", got, dualBoundPin)
+	}
+}
+
+func TestGridBounderSharesSkeleton(t *testing.T) {
+	// Everything τ-independent — the CSR rows, the y = 0 bound, the sorted
+	// uniform breakpoints — is built once per grid: every bounder points at
+	// one skeleton, a new bounder copies no rows (one allocation, the
+	// bounder itself), and a subgradient step allocates nothing.
+	p := wedgeProblem(60, 3, 0, 3)
+	g, err := NewGridSolver(p, allTauRows(p))
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := g.Bounder(4), g.Bounder(16)
+	if a.sk != b.sk {
+		t.Fatal("bounders do not share one skeleton")
+	}
+	if n := testing.AllocsPerRun(50, func() { g.Bounder(8) }); n > 1 {
+		t.Fatalf("Bounder allocates %v times, want 1", n)
+	}
+	a.Tighten(2) // the uniform step, then the first subgradient step sizes the scratch
+	if n := testing.AllocsPerRun(50, func() { a.Tighten(1) }); n != 0 {
+		t.Fatalf("subgradient step allocates %v times, want 0", n)
+	}
+}
+
 func TestGridConcurrentSolves(t *testing.T) {
-	// SolveTau must be safe for concurrent use (core.Run's race workers).
+	// SolveTau and Bounder must be safe for concurrent use (core.Run's race
+	// workers), including the first Bounder calls, which race to build the
+	// shared skeleton.
 	p := wedgeProblem(50, 3, 0, 9)
 	tauRows := allTauRows(p)
 	g, err := NewGridSolver(p, tauRows)
@@ -207,6 +304,7 @@ func TestGridConcurrentSolves(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := make(map[float64]*Solution)
+	wantBound := make(map[float64]float64)
 	taus := []float64{1, 2, 4, 8, 16, 32}
 	for _, tau := range taus {
 		sol, err := Solve(materialize(p, tauRows, tau), Options{})
@@ -214,6 +312,7 @@ func TestGridConcurrentSolves(t *testing.T) {
 			t.Fatal(err)
 		}
 		want[tau] = sol
+		wantBound[tau] = NewDualBounder(materialize(p, tauRows, tau)).Tighten(40)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
@@ -221,6 +320,9 @@ func TestGridConcurrentSolves(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for _, tau := range taus {
+				if b := g.Bounder(tau).Tighten(40); !sameBits(b, wantBound[tau]) {
+					t.Errorf("τ=%g: bound %v, want %v", tau, b, wantBound[tau])
+				}
 				got, err := g.SolveTau(tau, Options{})
 				if err != nil {
 					t.Errorf("τ=%g: %v", tau, err)

@@ -1,8 +1,8 @@
 // Package obs is the stage-level profiler for the R2T pipeline: wall-clock
 // durations per pipeline stage (parse, plan, join execution, truncation
 // build, LP solving, noise) plus hot-path counters (simplex iterations and
-// pivots, grid-solver redundancy eliminations, early-stop prunes, executor
-// row traffic, build-index cache hits, arena bytes).
+// pivots, grid-solver redundancy eliminations, early-stop prunes and dual
+// steps, executor row traffic, build-index cache hits, arena bytes).
 //
 // The design follows internal/fault's cheap-disabled-path discipline: every
 // Recorder method is safe — and allocation-free — on a nil receiver, so the
@@ -70,6 +70,7 @@ const (
 	CtrLPComponents                     // independent LP blocks solved
 	CtrRedundantSkips                   // τ-monotone redundancy eliminations (rows/components skipped)
 	CtrEarlyStopPrune                   // races killed by a dual bound before an exact solve
+	CtrDualSteps                        // subgradient steps the early-stop bounders took
 	CtrExecRowsProbed                   // assignments entering a join step
 	CtrExecRowsOut                      // assignments leaving a join step
 	CtrIndexCacheHit                    // build-side index served from the table cache
@@ -86,7 +87,7 @@ const (
 
 var counterNames = [NumCounters]string{
 	"simplex_iters", "simplex_pivots", "lp_components", "grid_redundant_skips",
-	"earlystop_prunes", "exec_rows_probed", "exec_rows_emitted",
+	"earlystop_prunes", "dual_steps", "exec_rows_probed", "exec_rows_emitted",
 	"index_cache_hits", "index_cache_misses", "index_cache_evictions",
 	"index_cache_extended_hits", "arena_bytes",
 	"join_core_hits", "join_core_misses",

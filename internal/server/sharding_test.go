@@ -74,7 +74,7 @@ func shardShop(d shopData, n int) []shopData {
 	return parts
 }
 
-func writeShopSchema(t *testing.T) string {
+func writeShopSchema(t testing.TB) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "shop.schema")
 	src := "Catalog(sku*)\nCustomer(CK*, region)\nOrders(OK*, CK->Customer, sku->Catalog, price)\n"
@@ -84,7 +84,7 @@ func writeShopSchema(t *testing.T) string {
 	return path
 }
 
-func writeShopDir(t *testing.T, d shopData) string {
+func writeShopDir(t testing.TB, d shopData) string {
 	t.Helper()
 	dir := t.TempDir()
 	write := func(name, header string, rows [][]string) {
@@ -105,7 +105,7 @@ func writeShopDir(t *testing.T, d shopData) string {
 
 // --- cluster helpers --------------------------------------------------------
 
-func shopConfig(t *testing.T, nodeDir, name, schemaPath, dataDir string, seed int64) Config {
+func shopConfig(t testing.TB, nodeDir, name, schemaPath, dataDir string, seed int64) Config {
 	t.Helper()
 	if err := os.MkdirAll(nodeDir, 0o755); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"net"
 	"sync/atomic"
 	"testing"
@@ -9,6 +10,7 @@ import (
 
 	"r2t/internal/repl"
 	"r2t/internal/schema"
+	"r2t/internal/truncation"
 	"r2t/internal/value"
 )
 
@@ -250,5 +252,10 @@ func TestSubQueryWireRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeReply([]byte("nope")); err == nil {
 		t.Fatal("bad reply accepted")
+	}
+	// A unit JSON cannot carry fails closed as an error reply that decodes.
+	r, err := DecodeReply(EncodeReply(Reply{Units: []*truncation.Partial{{Sorted: []float64{math.Inf(1)}}}}))
+	if err != nil || r.Err == "" || r.Units != nil {
+		t.Fatalf("unencodable reply: %+v, %v", r, err)
 	}
 }

@@ -47,9 +47,15 @@ func DecodeSubQuery(b []byte) (SubQuery, error) {
 	return q, nil
 }
 
-// EncodeReply marshals a reply payload.
+// EncodeReply marshals a reply payload. A reply JSON cannot carry — a unit
+// holding ±Inf or NaN, e.g. per-individual sums of finite weights that
+// overflowed — becomes an error reply instead, so a shard fails closed and
+// every payload it sends decodes.
 func EncodeReply(r Reply) []byte {
-	b, _ := json.Marshal(r)
+	b, err := json.Marshal(r)
+	if err != nil {
+		b, _ = json.Marshal(Reply{Err: fmt.Sprintf("shard: unencodable reply: %v", err)})
+	}
 	return b
 }
 

@@ -338,8 +338,8 @@ func (t *LPTruncator) SetSolveOptions(opt lp.Options) { t.solveOpt = opt }
 func (t *LPTruncator) SetRecorder(rec *obs.Recorder) { t.rec = rec }
 
 // Bounder returns a dual bounder for the τ-LP, used by R2T's early stop. It
-// shares the grid skeleton's column sums; the bound sequence is identical to
-// a bounder built on the materialized per-τ problem.
+// shares the grid's dual skeleton, built once on first use; the bound
+// sequence is identical to a bounder built on the materialized per-τ problem.
 func (t *LPTruncator) Bounder(tau float64) *lp.DualBounder {
 	if g, err := t.gridSolver(); err == nil {
 		return g.Bounder(tau)
