@@ -185,7 +185,7 @@ func main() {
 	var datasets datasetFlags
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8080", "listen address")
-		ledgerPath = flag.String("ledger", "r2td.ledger", "append-only budget ledger (JSON lines; replayed on startup)")
+		ledgerPath = flag.String("ledger", "r2td.ledger", "append-only budget ledger (framed durable log; replayed on startup)")
 		workers    = flag.Int("workers", 0, "max concurrent mechanism runs (0 = GOMAXPROCS); excess requests get 429")
 		execWork   = flag.Int("exec-workers", 0, "join-executor workers per query (0 = GOMAXPROCS, 1 = serial); answers are identical either way")
 		pprofAddr  = flag.String("pprof-addr", "", "optional net/http/pprof listen address (e.g. 127.0.0.1:6060); keep it private — never the public -addr")

@@ -15,16 +15,16 @@
 // Sites are plain strings owned by the package that declares them. The
 // sites currently instrumented:
 //
-//	ledger.open      r2td ledger file open            (internal/server)
-//	ledger.read      r2td ledger replay reads         (internal/server)
+//	ledger.open      r2td ledger file open            (internal/wal, prefix "ledger")
+//	ledger.read      r2td ledger replay reads
 //	ledger.write     r2td ledger appends — honors Short for torn writes
-//	ledger.sync      r2td ledger fsync                (internal/server)
-//	ledger.truncate  r2td ledger torn-tail repair     (internal/server)
-//	segstore.open      table WAL file open              (internal/segstore)
-//	segstore.read      table WAL replay reads           (internal/segstore)
+//	ledger.sync      r2td ledger fsync
+//	ledger.truncate  r2td ledger torn-tail repair
+//	segstore.open      table WAL file open            (internal/wal, prefix "segstore")
+//	segstore.read      table WAL replay reads
 //	segstore.write     table WAL appends — honors Short for torn writes
-//	segstore.sync      table WAL fsync                  (internal/segstore)
-//	segstore.truncate  table WAL torn-tail repair       (internal/segstore)
+//	segstore.sync      table WAL fsync
+//	segstore.truncate  table WAL torn-tail repair
 //	lp.solve         every exact LP solve             (internal/lp)
 //	core.race        the start of each R2T race       (internal/core)
 //	dp.laplace       every Laplace noise draw         (internal/dp) — panic payloads only

@@ -1,31 +1,36 @@
 // Package repl is the primary/replica replication protocol behind r2td
 // clustering (DESIGN.md §14). The primary owns the authoritative ε-ledger and
 // streams length-prefixed, CRC-checked frames over plain TCP to replicas:
-// every ledger line (charges, probe newlines, fencing-epoch records), every
-// durable row batch, and every freshly released answer. Replicas apply the
-// stream idempotently (every chunk carries its absolute position, so replays
-// after a reconnect are skipped, never double-applied) and acknowledge ledger
-// bytes; the primary's Hub can require a minimum number of acknowledgements
-// before a charge is admitted, which is what makes failover ε-safe: an
-// admitted charge is durable on at least SyncReplicas replicas before any
-// analyst sees its answer.
+// every ledger record (charges, readiness probes, fencing-epoch records),
+// every durable row batch, and every freshly released answer. Replicas apply
+// the stream idempotently (every chunk carries its absolute position, so
+// replays after a reconnect are skipped, never double-applied) and
+// acknowledge ledger bytes; the primary's Hub can require a minimum number
+// of acknowledgements before a charge is admitted, which is what makes
+// failover ε-safe: an admitted charge is durable on at least SyncReplicas
+// replicas before any analyst sees its answer.
 //
-// The package is transport and framing only — stdlib-only, with no knowledge
-// of ledgers or tables. The server supplies a Source (primary side) that
-// validates handshakes and produces catch-up frames, and an Applier (replica
-// side) that applies each frame to local state. Fencing decisions (epoch
-// comparison, ledger prefix identity) are made by those callbacks; the
-// protocol just carries the epochs.
+// The package is transport and framing only — the standard library plus the
+// internal/wal record codec, with no knowledge of ledgers or tables. The
+// server supplies a Source (primary side) that validates handshakes and
+// produces catch-up frames, and an Applier (replica side) that applies each
+// frame to local state. Fencing decisions (epoch comparison, ledger prefix
+// identity) are made by those callbacks; the protocol just carries the
+// epochs.
 //
-// Wire format, all integers big-endian:
+// Wire format: every frame is one record of the durable-log codec
+// (internal/wal — the same framing as the ledger and table WALs on disk),
+// whose payload starts with the frame's type and epoch:
 //
-//	frame:  u8 type | u64 epoch | u32 payload length | u32 CRC-32 (IEEE) | payload
+//	frame:   u32 len(record) | u32 CRC-32 (IEEE) over len and record | record   (little-endian)
+//	record:  u8 type | u64 epoch (big-endian) | payload
 //
-// The CRC covers the type byte, the epoch, and the payload, so a frame whose
+// The CRC covers the length, type, epoch and payload, so a frame whose
 // header was torn cannot smuggle a valid-looking payload through. Decoding
 // rejects an oversized length field before allocating anything (the
 // FuzzReplFrame contract: arbitrary bytes never panic, never over-allocate,
-// and never yield a CRC-failing frame that gets applied).
+// and never yield a CRC-failing frame that gets applied). Message payloads
+// (proto.go) are big-endian.
 //
 // Fault sites (internal/fault): repl.send fires on every frame write,
 // repl.recv on every frame read, and repl.handshake at the start of both
@@ -34,12 +39,11 @@ package repl
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 
 	"r2t/internal/fault"
+	"r2t/internal/wal"
 )
 
 // Frame types. Hello/Ack flow replica→primary; everything else
@@ -66,8 +70,12 @@ const (
 	SiteHandshake = "repl.handshake"
 )
 
-// headerSize is the fixed frame prefix: type + epoch + length + CRC.
-const headerSize = 1 + 8 + 4 + 4
+// prefixSize is the type byte and epoch heading every frame's record;
+// headerSize the whole fixed overhead, record header included.
+const (
+	prefixSize = 1 + 8
+	headerSize = wal.FrameHeader + prefixSize
+)
 
 // DefaultMaxPayload bounds one frame's payload. Row frames carry at most one
 // segstore WAL record (64 MiB) plus identification, so 72 MiB leaves
@@ -75,12 +83,13 @@ const headerSize = 1 + 8 + 4 + 4
 // allocation happens.
 const DefaultMaxPayload = 72 << 20
 
-// Protocol errors. ErrFrameTooLarge and ErrCRC mean the stream cannot be
-// trusted past this point; callers drop the connection and re-handshake.
+// Protocol errors — the record codec's. ErrFrameTooLarge and ErrCRC mean the
+// stream cannot be trusted past this point; callers drop the connection and
+// re-handshake.
 var (
-	ErrFrameTooLarge = errors.New("repl: frame payload exceeds maximum")
-	ErrCRC           = errors.New("repl: frame CRC mismatch")
-	ErrShortFrame    = errors.New("repl: short frame")
+	ErrFrameTooLarge = wal.ErrTooLarge
+	ErrCRC           = wal.ErrCRC
+	ErrShortFrame    = wal.ErrShort
 )
 
 // Frame is one protocol message. Epoch is the sender's fencing epoch;
@@ -91,57 +100,47 @@ type Frame struct {
 	Payload []byte
 }
 
-// frameCRC checksums the parts the CRC covers: type, epoch, payload.
-func frameCRC(typ byte, epoch uint64, payload []byte) uint32 {
-	var hdr [9]byte
-	hdr[0] = typ
-	binary.BigEndian.PutUint64(hdr[1:], epoch)
-	crc := crc32.Update(0, crc32.IEEETable, hdr[:])
-	return crc32.Update(crc, crc32.IEEETable, payload)
-}
-
-// AppendFrame appends f's encoding to buf and returns the extended slice.
-func AppendFrame(buf []byte, f Frame) []byte {
-	buf = append(buf, f.Type)
-	buf = binary.BigEndian.AppendUint64(buf, f.Epoch)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(f.Payload)))
-	buf = binary.BigEndian.AppendUint32(buf, frameCRC(f.Type, f.Epoch, f.Payload))
-	return append(buf, f.Payload...)
-}
-
 // EncodeFrame returns f's wire encoding.
 func EncodeFrame(f Frame) []byte {
-	return AppendFrame(make([]byte, 0, headerSize+len(f.Payload)), f)
+	var prefix [prefixSize]byte
+	prefix[0] = f.Type
+	binary.BigEndian.PutUint64(prefix[1:], f.Epoch)
+	return wal.AppendRecord(make([]byte, 0, headerSize+len(f.Payload)), prefix[:], f.Payload)
+}
+
+// recordBound is the record bound for a frame payload bound (0 selects the
+// default).
+func recordBound(maxPayload int) int {
+	if maxPayload <= 0 {
+		maxPayload = DefaultMaxPayload
+	}
+	return prefixSize + maxPayload
+}
+
+// splitFrame reads the type and epoch off a decoded record.
+func splitFrame(rec []byte) (Frame, error) {
+	if len(rec) < prefixSize {
+		return Frame{}, fmt.Errorf("%w: %d-byte record lacks the type and epoch", ErrShortFrame, len(rec))
+	}
+	return Frame{Type: rec[0], Epoch: binary.BigEndian.Uint64(rec[1:prefixSize]), Payload: rec[prefixSize:]}, nil
 }
 
 // DecodeFrame parses one frame from the head of b, returning the frame and
 // the number of bytes consumed. It is total: no input can make it panic, and
 // the length field is validated against maxPayload (0 selects the default)
-// and the available bytes before any allocation, so a torn or hostile header
+// before the available bytes are consulted, so a torn or hostile header
 // cannot trigger a huge allocation. A CRC mismatch is an error — the frame is
 // never returned for application.
 func DecodeFrame(b []byte, maxPayload int) (Frame, int, error) {
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
+	rec, n, err := wal.Decode(b, recordBound(maxPayload))
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	if len(b) < headerSize {
-		return Frame{}, 0, ErrShortFrame
+	f, err := splitFrame(rec)
+	if err != nil {
+		return Frame{}, 0, err
 	}
-	typ := b[0]
-	epoch := binary.BigEndian.Uint64(b[1:9])
-	plen := int(binary.BigEndian.Uint32(b[9:13]))
-	crc := binary.BigEndian.Uint32(b[13:17])
-	if plen > maxPayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, plen, maxPayload)
-	}
-	if len(b) < headerSize+plen {
-		return Frame{}, 0, ErrShortFrame
-	}
-	payload := b[headerSize : headerSize+plen]
-	if frameCRC(typ, epoch, payload) != crc {
-		return Frame{}, 0, ErrCRC
-	}
-	return Frame{Type: typ, Epoch: epoch, Payload: payload}, headerSize + plen, nil
+	return f, n, nil
 }
 
 // WriteFrame writes f to w. The repl.send fault site fires first, so chaos
@@ -155,32 +154,15 @@ func WriteFrame(w io.Writer, f Frame) error {
 }
 
 // ReadFrame reads one frame from r with the same bounds discipline as
-// DecodeFrame: the header is read first and its length field checked against
-// maxPayload before the payload buffer is allocated. The repl.recv fault site
-// fires before the read.
+// DecodeFrame: the length field is checked against maxPayload before the
+// record buffer is allocated. The repl.recv fault site fires before the read.
 func ReadFrame(r io.Reader, maxPayload int) (Frame, error) {
 	if err := fault.Check(SiteRecv); err != nil {
 		return Frame{}, err
 	}
-	if maxPayload <= 0 {
-		maxPayload = DefaultMaxPayload
-	}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	rec, err := wal.ReadRecord(r, recordBound(maxPayload))
+	if err != nil {
 		return Frame{}, err
 	}
-	plen := int(binary.BigEndian.Uint32(hdr[9:13]))
-	if plen > maxPayload {
-		return Frame{}, fmt.Errorf("%w: %d > %d", ErrFrameTooLarge, plen, maxPayload)
-	}
-	payload := make([]byte, plen)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return Frame{}, err
-	}
-	typ := hdr[0]
-	epoch := binary.BigEndian.Uint64(hdr[1:9])
-	if frameCRC(typ, epoch, payload) != binary.BigEndian.Uint32(hdr[13:17]) {
-		return Frame{}, ErrCRC
-	}
-	return Frame{Type: typ, Epoch: epoch, Payload: payload}, nil
+	return splitFrame(rec)
 }

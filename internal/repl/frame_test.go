@@ -55,7 +55,7 @@ func TestFrameCorruptionRejected(t *testing.T) {
 func TestFrameTooLargeRejectedBeforeAllocation(t *testing.T) {
 	// A header claiming a huge payload must be rejected from the header alone.
 	enc := EncodeFrame(Frame{Type: TypeLedger, Epoch: 1, Payload: []byte("x")})
-	enc[9], enc[10], enc[11], enc[12] = 0xFF, 0xFF, 0xFF, 0xFF
+	enc[0], enc[1], enc[2], enc[3] = 0xFF, 0xFF, 0xFF, 0xFF
 	if _, _, err := DecodeFrame(enc, 0); !errors.Is(err, ErrFrameTooLarge) {
 		t.Fatalf("DecodeFrame: %v, want ErrFrameTooLarge", err)
 	}

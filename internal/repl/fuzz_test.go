@@ -3,6 +3,8 @@ package repl
 import (
 	"bytes"
 	"testing"
+
+	"r2t/internal/wal"
 )
 
 // FuzzReplFrame is the frame-decoder half of the ISSUE-8 fuzz contract:
@@ -21,6 +23,8 @@ func FuzzReplFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add(bytes.Repeat([]byte{0x00}, 64))
+	f.Add(wal.AppendRecord(nil, []byte{TypeAck, 0, 0}))                                        // record too short for type + epoch
+	f.Add(append(EncodeFrame(Frame{Type: TypeAnswer, Epoch: 3, Payload: []byte(`{}`)}), 0xEE)) // trailing byte
 
 	const maxPayload = 1 << 20 // tight bound so over-allocation would be loud
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -182,10 +182,10 @@ func (h *Hub) Peers() []PeerStatus {
 	return out
 }
 
-// Publish enqueues f to every attached session, fire-and-forget: probe
-// newlines, row batches, answers, heartbeats. A session whose queue is full
-// is detached (its next handshake catches it up from disk) rather than ever
-// blocking the caller.
+// Publish enqueues f to every attached session, fire-and-forget: ledger
+// probes and epoch records, row batches, answers, heartbeats. A session whose
+// queue is full is detached (its next handshake catches it up from disk)
+// rather than ever blocking the caller.
 func (h *Hub) Publish(f Frame) {
 	for _, s := range h.snapshot() {
 		s.enqueue(f)

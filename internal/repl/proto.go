@@ -35,7 +35,7 @@ type Welcome struct {
 const maxNameLen = 1 << 16
 
 // EncodeLedgerChunk frames a run of raw ledger bytes ending at absolute file
-// offset end, where seq is the primary's total ledger record (line) count at
+// offset end, where seq is the primary's total ledger record count at
 // that offset. Offsets make application idempotent; seq feeds the
 // r2td_repl_lag_records metric.
 func EncodeLedgerChunk(end int64, seq uint64, data []byte) []byte {

@@ -1,26 +1,21 @@
 package segstore
 
 import (
-	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"r2t/internal/storage"
+	"r2t/internal/wal"
 )
 
 // ErrPoisoned is wrapped by every append attempted after a WAL write or
-// fsync of unknown durability failed. Like the budget ledger (PR 3), the
-// store fails closed: once the log and memory may disagree, no further
-// writes are accepted until the process restarts and replays the log.
-var ErrPoisoned = errors.New("segstore: store poisoned by earlier write failure")
+// fsync of unknown durability failed — the durable log's poison sentinel.
+// The store fails closed store-wide: no table accepts writes until restart.
+var ErrPoisoned = wal.ErrPoisoned
 
 // ErrClosed is wrapped by appends attempted after Close.
 var ErrClosed = errors.New("segstore: store closed")
@@ -32,20 +27,17 @@ var ErrClosed = errors.New("segstore: store closed")
 // storage.Table.Snapshot readers and extended join-index parts rely on.
 type Segment struct {
 	Off      int64 // record frame offset in the WAL file
-	Bytes    int   // frame + payload size
+	Bytes    int   // frame header + payload size
 	StartRow int   // first global row id covered
 	Rows     int
 }
 
-// Stats is a snapshot of the store's traffic since Open.
+// Stats is a snapshot of the store's traffic since Open. The embedded log
+// counters are summed over every table's WAL; Appends counts records.
 type Stats struct {
-	Appends       uint64 // WAL record appends (live, post-replay)
+	wal.Stats
 	AppendedRows  uint64
-	Fsyncs        uint64
-	FsyncSeconds  float64
-	ReplayedRecs  uint64 // records recovered by Open
 	ReplayedRows  uint64
-	TornBytes     uint64 // tail bytes discarded by replay repair
 	Bootstrapped  int    // tables seeded from in-memory rows (no prior WAL)
 	Recovered     int    // tables recovered from an existing WAL
 	Segments      int    // sealed segments across all tables
@@ -59,7 +51,6 @@ type Stats struct {
 // is fsynced to the relation's log before it becomes visible, and Open
 // replays the logs back through the ordinary Append path on restart.
 type Store struct {
-	dir  string
 	inst *storage.Instance
 	wals map[string]*tableWAL
 
@@ -68,16 +59,11 @@ type Store struct {
 	// extending.
 	wmu sync.Mutex
 
-	failed atomic.Pointer[error]
+	closed atomic.Bool
 	mirror atomic.Pointer[RowsMirror]
 
-	appends      atomic.Uint64
 	appendedRows atomic.Uint64
-	fsyncs       atomic.Uint64
-	fsyncNanos   atomic.Uint64
-	replayedRecs uint64
 	replayedRows uint64
-	tornBytes    uint64
 	bootstrapped int
 	recovered    int
 }
@@ -88,25 +74,22 @@ type Store struct {
 type tableWAL struct {
 	store *Store
 	name  string
-	ncols int
-	f     walFile
+	log   *wal.Log
 
 	mu    sync.Mutex
-	size  int64 // current end offset == next record's Off
 	nRows int
 	segs  []Segment
 
-	buf []byte // encode buffer, reused across appends
+	payload, frames []byte // encode buffers, reused across appends
 }
 
 // Open makes inst durable under dir (created if missing). Per relation: an
 // existing `<name>.wal` is replayed into the table — which must be empty;
 // refusing to merge a log into independently loaded rows keeps recovery
-// unambiguous — repairing a torn tail by truncation; a relation with no WAL
-// yet is bootstrapped, writing its current rows (e.g. just loaded from CSV)
-// to a temporary file that is fsynced and atomically renamed into place, so
-// a crash mid-bootstrap leaves no half-written log to be mistaken for a
-// durable one. Every table then gets its WAL installed as AppendSink.
+// unambiguous; a relation with no WAL yet is bootstrapped with its current
+// rows (e.g. just loaded from CSV) by wal.Create, atomically, so a crash
+// mid-bootstrap leaves no half-written log to be mistaken for a durable one.
+// Every table then gets its WAL installed as AppendSink.
 //
 // On error the store is closed and inst may hold partially replayed tables;
 // callers should discard it.
@@ -114,10 +97,11 @@ func Open(dir string, inst *storage.Instance) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	s := &Store{dir: dir, inst: inst, wals: make(map[string]*tableWAL)}
+	s := &Store{inst: inst, wals: make(map[string]*tableWAL)}
 	for _, name := range inst.Schema.Names() {
 		t := inst.Table(name)
-		w := &tableWAL{store: s, name: name, ncols: len(t.Rel.Attrs)}
+		w := &tableWAL{store: s, name: name}
+		cfg := wal.Config{Site: "segstore", Identity: fmt.Sprintf("%s(%d)", name, len(t.Rel.Attrs))}
 		path := filepath.Join(dir, name+".wal")
 		_, statErr := os.Stat(path)
 		var err error
@@ -126,11 +110,11 @@ func Open(dir string, inst *storage.Instance) (*Store, error) {
 			if t.Len() > 0 {
 				err = fmt.Errorf("segstore: %s: refusing to replay %s into a table already holding %d rows", name, path, t.Len())
 			} else {
-				err = w.replay(path, t)
+				err = w.replay(path, cfg, t)
 				s.recovered++
 			}
 		case errors.Is(statErr, os.ErrNotExist):
-			err = w.bootstrap(path, t)
+			err = w.bootstrap(path, cfg, t)
 			s.bootstrapped++
 		default:
 			err = statErr
@@ -146,223 +130,104 @@ func Open(dir string, inst *storage.Instance) (*Store, error) {
 }
 
 // replay recovers the durable prefix of path into t: intact records are
-// appended through the ordinary (sink-less, at this point) Append path, and
-// the first torn or corrupt record — under the crash model, only the
-// un-fsynced tail can be damaged — ends the log, which is truncated back to
-// the last intact record so future appends extend a clean file.
-func (w *tableWAL) replay(path string, t *storage.Table) error {
-	f, err := openWALFile(path)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	br := bufio.NewReader(f)
-	hdr, err := readHeader(br, w.name, w.ncols)
-	if err != nil {
-		return err
-	}
-	off := int64(hdr)
-	var frame [8]byte
-	for {
-		if _, err := io.ReadFull(br, frame[:]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break // clean end, or a frame torn mid-header
-			}
-			return fmt.Errorf("segstore: %s: replay: %w", w.name, err)
-		}
-		plen := int(binary.LittleEndian.Uint32(frame[:4]))
-		crc := binary.LittleEndian.Uint32(frame[4:])
-		if plen < 4 || plen > maxWALRecord {
-			break // torn or corrupt length field
-		}
-		payload := make([]byte, plen)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				break // payload torn
-			}
-			return fmt.Errorf("segstore: %s: replay: %w", w.name, err)
-		}
-		if crc32.ChecksumIEEE(payload) != crc {
-			break // corrupt
-		}
-		rows, err := decodePayload(payload, w.ncols)
+// appended through the ordinary (sink-less, at this point) Append path, each
+// sealing a segment at its record's offset.
+func (w *tableWAL) replay(path string, cfg wal.Config, t *storage.Table) error {
+	ncols := len(t.Rel.Attrs)
+	log, err := wal.Open(path, cfg, func(off int64, p []byte) error {
+		rows, err := DecodePayload(p, ncols)
 		if err != nil {
-			break // structurally invalid despite CRC: treat as end of log
+			return err
 		}
 		if err := t.Append(rows...); err != nil {
-			return fmt.Errorf("segstore: %s: replay: %w", w.name, err)
+			return err
 		}
-		w.segs = append(w.segs, Segment{Off: off, Bytes: 8 + plen, StartRow: w.nRows, Rows: len(rows)})
+		w.segs = append(w.segs, Segment{Off: off, Bytes: wal.FrameHeader + len(p), StartRow: w.nRows, Rows: len(rows)})
 		w.nRows += len(rows)
-		off += int64(8 + plen)
-		w.store.replayedRecs++
-		w.store.replayedRows += uint64(len(rows))
-	}
-	size, err := f.Seek(0, io.SeekEnd)
+		return nil
+	})
 	if err != nil {
-		return err
+		return fmt.Errorf("segstore: %s: replay: %w", w.name, err)
 	}
-	if size > off {
-		w.store.tornBytes += uint64(size - off)
-		if err := f.Truncate(off); err != nil {
-			return fmt.Errorf("segstore: %s: torn-tail repair: %w", w.name, err)
-		}
-		if err := f.Sync(); err != nil {
-			return fmt.Errorf("segstore: %s: torn-tail repair: %w", w.name, err)
-		}
-	}
-	if _, err := f.Seek(off, io.SeekStart); err != nil {
-		return err
-	}
-	w.size = off
+	w.log = log
+	w.store.replayedRows += uint64(w.nRows)
 	return nil
 }
 
-// readHeader consumes and validates the WAL header from br, returning its
-// size in bytes.
-func readHeader(br *bufio.Reader, name string, ncols int) (int, error) {
-	fixed := make([]byte, len(walMagic)+4)
-	if _, err := io.ReadFull(br, fixed); err != nil {
-		return 0, fmt.Errorf("segstore: %s: WAL header: %w", name, err)
-	}
-	if string(fixed[:len(walMagic)]) != walMagic {
-		return 0, fmt.Errorf("segstore: %s: bad WAL magic %q", name, fixed[:len(walMagic)])
-	}
-	nameLen := int(binary.LittleEndian.Uint32(fixed[len(walMagic):]))
-	if nameLen > 1<<16 {
-		return 0, fmt.Errorf("segstore: %s: implausible WAL name length %d", name, nameLen)
-	}
-	rest := make([]byte, nameLen+4)
-	if _, err := io.ReadFull(br, rest); err != nil {
-		return 0, fmt.Errorf("segstore: %s: WAL header: %w", name, err)
-	}
-	if got := string(rest[:nameLen]); got != name {
-		return 0, fmt.Errorf("segstore: WAL names relation %q, want %q", got, name)
-	}
-	if got := int(binary.LittleEndian.Uint32(rest[nameLen:])); got != ncols {
-		return 0, fmt.Errorf("segstore: %s: WAL has %d columns, want %d", name, got, ncols)
-	}
-	return len(fixed) + len(rest), nil
-}
-
-// bootstrap seeds a fresh WAL at path with t's current rows, via a
-// temporary file fsynced before an atomic rename — a crash at any point
-// leaves either no WAL (next Open bootstraps again) or a complete one.
-func (w *tableWAL) bootstrap(path string, t *storage.Table) error {
-	tmp := path + ".tmp"
-	f, err := openWALFile(tmp)
-	if err != nil {
-		return err
-	}
-	// A stale tmp from a crashed bootstrap may linger; start it clean.
-	if err := f.Truncate(0); err != nil {
-		f.Close()
-		return err
-	}
+// bootstrap creates the WAL at path holding t's current rows.
+func (w *tableWAL) bootstrap(path string, cfg wal.Config, t *storage.Table) error {
 	rows, _ := t.Snapshot()
-	buf := appendHeader(nil, w.name, w.ncols)
+	var frames []byte
 	for start := 0; start < len(rows); start += maxWALBatchRows {
 		end := min(start+maxWALBatchRows, len(rows))
-		off := int64(len(buf))
-		buf = appendRecord(buf, rows[start:end])
-		w.segs = append(w.segs, Segment{Off: off, Bytes: len(buf) - int(off), StartRow: start, Rows: end - start})
+		at := len(frames)
+		frames = w.appendRecord(frames, rows[start:end])
+		w.segs = append(w.segs, Segment{Off: int64(at), Bytes: len(frames) - at, StartRow: start, Rows: end - start})
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
+	log, err := wal.Create(path, cfg, frames)
+	if err != nil {
 		return fmt.Errorf("segstore: %s: bootstrap: %w", w.name, err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("segstore: %s: bootstrap: %w", w.name, err)
+	// The records sit right after the header.
+	size, _, _ := log.Position()
+	for i := range w.segs {
+		w.segs[i].Off += size - int64(len(frames))
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return err
-	}
-	wf, err := openWALFile(path)
-	if err != nil {
-		return err
-	}
-	size, err := wf.Seek(0, io.SeekEnd)
-	if err != nil {
-		wf.Close()
-		return err
-	}
-	w.f = wf
-	w.size = size
+	w.log = log
 	w.nRows = len(rows)
 	return nil
 }
 
-// syncDir fsyncs a directory so a just-renamed file survives a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return err
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	return err
+// appendRecord frames rows as one log record onto buf.
+func (w *tableWAL) appendRecord(buf []byte, rows []storage.Row) []byte {
+	w.payload = AppendPayload(w.payload[:0], rows)
+	return wal.AppendRecord(buf, w.payload)
 }
 
 // AppendRows is the storage.AppendSink hook: frame, write, and fsync the
 // batch before storage.Table.Append makes it visible in memory. The caller
-// (the table) holds its appendMu, so calls are serialized per table. Any
-// write or fsync failure leaves durability unknown and poisons the whole
-// store.
+// (the table) holds its appendMu, so calls are serialized per table. A write
+// or fsync failure leaves durability unknown and poisons the log, and with
+// it the whole store.
 func (w *tableWAL) AppendRows(rows []storage.Row) error {
-	s := w.store
-	if errp := s.failed.Load(); errp != nil {
-		return fmt.Errorf("segstore: %s: append rejected: %w", w.name, *errp)
+	if err := w.store.writable(); err != nil {
+		return fmt.Errorf("segstore: %s: append rejected: %w", w.name, err)
 	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	w.buf = w.buf[:0]
+	base, _, _ := w.log.Position()
+	w.frames = w.frames[:0]
 	staged := make([]Segment, 0, 1)
 	for start := 0; start < len(rows); start += maxWALBatchRows {
 		end := min(start+maxWALBatchRows, len(rows))
-		off := w.size + int64(len(w.buf))
-		w.buf = appendRecord(w.buf, rows[start:end])
-		staged = append(staged, Segment{Off: off, Bytes: int(w.size + int64(len(w.buf)) - off), StartRow: w.nRows + start, Rows: end - start})
+		at := len(w.frames)
+		w.frames = w.appendRecord(w.frames, rows[start:end])
+		staged = append(staged, Segment{Off: base + int64(at), Bytes: len(w.frames) - at, StartRow: w.nRows + start, Rows: end - start})
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
-		s.poison(err)
-		return fmt.Errorf("segstore: %s: WAL append: %w (%w)", w.name, err, ErrPoisoned)
+	if err := w.log.Append(w.frames); err != nil {
+		return fmt.Errorf("segstore: %s: WAL append: %w", w.name, err)
 	}
-	begin := time.Now()
-	if err := w.f.Sync(); err != nil {
-		s.poison(err)
-		return fmt.Errorf("segstore: %s: WAL fsync: %w (%w)", w.name, err, ErrPoisoned)
-	}
-	s.fsyncs.Add(1)
-	s.fsyncNanos.Add(uint64(time.Since(begin)))
-	w.size += int64(len(w.buf))
 	w.nRows += len(rows)
 	w.segs = append(w.segs, staged...)
-	s.appends.Add(uint64(len(staged)))
-	s.appendedRows.Add(uint64(len(rows)))
+	w.store.appendedRows.Add(uint64(len(rows)))
 	return nil
 }
 
-// poison records the first unrecoverable write failure; later appends fail
-// with it until restart.
-func (s *Store) poison(err error) {
-	e := fmt.Errorf("%w: %w", ErrPoisoned, err)
-	s.failed.CompareAndSwap(nil, &e)
+// writable returns why the store refuses writes, or nil: it is closed, or
+// some table's log is poisoned.
+func (s *Store) writable() error {
+	if s.closed.Load() {
+		return ErrClosed
+	}
+	return s.Poisoned()
 }
 
-// Poisoned returns the failure that poisoned the store, or nil.
+// Poisoned returns the failure that poisoned the store — the first poisoned
+// table log found — or nil.
 func (s *Store) Poisoned() error {
-	if errp := s.failed.Load(); errp != nil {
-		if !errors.Is(*errp, ErrClosed) {
-			return *errp
+	for _, w := range s.wals {
+		if err := w.log.Poisoned(); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -392,8 +257,8 @@ func (s *Store) SetMirror(m RowsMirror) {
 func (s *Store) Insert(relation string, rows ...storage.Row) error {
 	s.wmu.Lock()
 	defer s.wmu.Unlock()
-	if errp := s.failed.Load(); errp != nil {
-		return fmt.Errorf("segstore: insert rejected: %w", *errp)
+	if err := s.writable(); err != nil {
+		return fmt.Errorf("segstore: insert rejected: %w", err)
 	}
 	m := s.mirror.Load()
 	start := 0
@@ -437,18 +302,19 @@ func (s *Store) Segments(relation string) []Segment {
 // Stats snapshots the store's counters.
 func (s *Store) Stats() Stats {
 	st := Stats{
-		Appends:      s.appends.Load(),
-		AppendedRows: s.appendedRows.Load(),
-		Fsyncs:       s.fsyncs.Load(),
-		FsyncSeconds: float64(s.fsyncNanos.Load()) / 1e9,
-		ReplayedRecs: s.replayedRecs,
-		ReplayedRows: s.replayedRows,
-		TornBytes:    s.tornBytes,
-		Bootstrapped: s.bootstrapped,
-		Recovered:    s.recovered,
+		AppendedRows:  s.appendedRows.Load(),
+		ReplayedRows:  s.replayedRows,
+		Bootstrapped:  s.bootstrapped,
+		Recovered:     s.recovered,
+		PoisonedSince: s.Poisoned() != nil,
 	}
-	st.PoisonedSince = s.Poisoned() != nil
 	for _, w := range s.wals {
+		ls := w.log.Stats()
+		st.Appends += ls.Appends
+		st.Fsyncs += ls.Fsyncs
+		st.FsyncSeconds += ls.FsyncSeconds
+		st.ReplayedRecs += ls.ReplayedRecs
+		st.TornBytes += ls.TornBytes
 		w.mu.Lock()
 		st.Segments += len(w.segs)
 		for _, seg := range w.segs {
@@ -464,14 +330,11 @@ func (s *Store) Stats() Stats {
 // closed rather than silently losing durability — but closes every WAL file
 // and refuses subsequent appends.
 func (s *Store) Close() error {
-	e := error(ErrClosed)
-	s.failed.CompareAndSwap(nil, &e)
+	s.closed.Store(true)
 	var first error
 	for _, w := range s.wals {
-		if w.f != nil {
-			if err := w.f.Close(); err != nil && first == nil {
-				first = err
-			}
+		if err := w.log.Close(); err != nil && first == nil {
+			first = err
 		}
 	}
 	return first

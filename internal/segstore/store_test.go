@@ -1,9 +1,12 @@
 package segstore
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"r2t/internal/fault"
@@ -149,9 +152,11 @@ func TestReplayRepairsTornTail(t *testing.T) {
 	requireRows(t, inst3.Table("R"), []storage.Row{intRow(1, 10), intRow(3, 30)})
 }
 
-// TestReplayStopsAtCorruptRecord: a flipped payload byte fails the CRC and
-// ends the log there.
-func TestReplayStopsAtCorruptRecord(t *testing.T) {
+// TestReplayRefusesInteriorCorruption: a flipped payload byte in a record
+// that later records follow is corruption, not a torn tail — Open refuses,
+// naming the record's offset, and leaves the file as it found it instead of
+// truncating away rows that were already acknowledged as durable.
+func TestReplayRefusesInteriorCorruption(t *testing.T) {
 	dir := t.TempDir()
 	s := testSchema()
 	inst := storage.NewInstance(s)
@@ -173,20 +178,24 @@ func TestReplayStopsAtCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[segs[1].Off+10] ^= 0xFF
+	raw[segs[0].Off+10] ^= 0xFF
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	inst2 := storage.NewInstance(s)
-	st2, err := Open(dir, inst2)
+	_, err = Open(dir, storage.NewInstance(s))
+	if err == nil {
+		t.Fatal("Open dropped acknowledged rows after an interior corrupt record")
+	}
+	if want := fmt.Sprintf("offset %d", segs[0].Off); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name %s", err, want)
+	}
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st2.Close()
-	requireRows(t, inst2.Table("R"), []storage.Row{intRow(1, 10)})
-	if st2.Stats().TornBytes == 0 {
-		t.Fatal("corrupt record not counted as torn")
+	if !bytes.Equal(after, raw) {
+		t.Fatal("refused replay modified the WAL")
 	}
 }
 

@@ -11,58 +11,35 @@
 // are bit-identical to a run that only ever saw those rows (replayed rows
 // pass through the same storage.Table.Append path as live ones).
 //
-// File format (all integers little-endian):
+// Each WAL is one internal/wal durable log — the ε-ledger's substrate, with
+// its framing, recovery rule, fault seam (the segstore.* sites) and poison
+// state — whose header identity is the relation name and column count and
+// whose record payloads are row batches (all integers little-endian); a
+// payload that does not decode is corruption like a failed CRC:
 //
-//	header:  "r2twal01" | u32 name length | name bytes | u32 column count
-//	record:  u32 payload length | u32 CRC-32 (IEEE) of payload | payload
 //	payload: u32 row count | rows
 //	row:     per column: kind byte (value.Kind) |
 //	         Int, Float → 8 value bytes; String → u32 length | bytes; Null → nothing
-//
-// Records are framed before they are checksummed, so replay can detect a
-// torn tail (partial frame or payload, or a CRC mismatch) and repair it by
-// truncating back to the last intact record — the ledger's torn-tail
-// discipline from PR 3. Under the crash model (appends are sequential,
-// the kernel may drop or tear only the un-fsynced tail) everything before
-// the tear is intact, so stopping at the first bad record recovers the
-// longest durable prefix.
 package segstore
 
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
 	"math"
 
 	"r2t/internal/storage"
 	"r2t/internal/value"
 )
 
-// walMagic begins every WAL file and pins the format version.
-const walMagic = "r2twal01"
-
-// maxWALRecord bounds a single record's payload. Replay treats anything
-// larger as corruption (a torn length field would otherwise make it try to
-// allocate and read gigabytes); writers split oversized batches to fit.
-const maxWALRecord = 64 << 20
-
 // maxWALBatchRows bounds how many rows one record carries; Append splits
 // larger batches across records (still one fsync for the whole batch).
 const maxWALBatchRows = 8192
 
-// appendHeader appends the WAL file header for relation name with ncols
-// columns.
-func appendHeader(buf []byte, name string, ncols int) []byte {
-	buf = append(buf, walMagic...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(name)))
-	buf = append(buf, name...)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(ncols))
-	return buf
-}
-
-// appendPayload appends the record payload encoding of rows: u32 row count,
-// then each row's values.
-func appendPayload(buf []byte, rows []storage.Row) []byte {
+// AppendPayload appends the WAL record payload encoding of rows — u32 row
+// count, then each row's values — to buf. The r2td replication path ships
+// durable row batches to replicas in this exact encoding, the one their own
+// WALs will persist.
+func AppendPayload(buf []byte, rows []storage.Row) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(rows)))
 	for _, row := range rows {
 		for _, v := range row {
@@ -81,41 +58,19 @@ func appendPayload(buf []byte, rows []storage.Row) []byte {
 	return buf
 }
 
-// EncodePayload encodes rows in the WAL record payload format. The r2td
-// replication path uses it to ship durable row batches to replicas in the
-// exact encoding their own WALs will persist.
-func EncodePayload(rows []storage.Row) []byte {
-	return appendPayload(nil, rows)
-}
-
 // DecodePayload decodes one record payload into rows of ncols columns. It is
 // total over arbitrary bytes — replicated payloads are decoded with it before
 // anything is applied.
 func DecodePayload(b []byte, ncols int) ([]storage.Row, error) {
-	return decodePayload(b, ncols)
-}
-
-// appendRecord frames rows as one checksummed WAL record.
-func appendRecord(buf []byte, rows []storage.Row) []byte {
-	lenAt := len(buf)
-	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0) // length + crc, patched below
-	payloadAt := len(buf)
-	buf = appendPayload(buf, rows)
-	payload := buf[payloadAt:]
-	binary.LittleEndian.PutUint32(buf[lenAt:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[lenAt+4:], crc32.ChecksumIEEE(payload))
-	return buf
-}
-
-// decodePayload decodes one record payload into rows of ncols columns.
-func decodePayload(b []byte, ncols int) ([]storage.Row, error) {
 	if len(b) < 4 {
 		return nil, fmt.Errorf("segstore: record payload truncated")
 	}
 	n := int(binary.LittleEndian.Uint32(b))
 	b = b[4:]
-	if n < 0 || n > maxWALRecord {
-		return nil, fmt.Errorf("segstore: implausible row count %d", n)
+	// Every row spends at least one kind byte per column, so the bytes left
+	// bound the row count before anything is allocated for it.
+	if n < 0 || n > len(b)/max(ncols, 1) {
+		return nil, fmt.Errorf("segstore: implausible row count %d for %d payload bytes", n, len(b))
 	}
 	rows := make([]storage.Row, 0, n)
 	for r := 0; r < n; r++ {

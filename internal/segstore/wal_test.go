@@ -1,15 +1,17 @@
 package segstore
 
 import (
-	"bufio"
-	"bytes"
 	"encoding/binary"
-	"hash/crc32"
 	"math"
+	"os"
+	"path/filepath"
+	"runtime"
 	"testing"
 
+	"r2t/internal/schema"
 	"r2t/internal/storage"
 	"r2t/internal/value"
+	"r2t/internal/wal"
 )
 
 func sampleRows() []storage.Row {
@@ -23,17 +25,16 @@ func sampleRows() []storage.Row {
 
 func TestRecordRoundTrip(t *testing.T) {
 	rows := sampleRows()
-	buf := appendRecord(nil, rows)
-	plen := int(binary.LittleEndian.Uint32(buf))
-	crc := binary.LittleEndian.Uint32(buf[4:])
-	payload := buf[8:]
-	if len(payload) != plen {
-		t.Fatalf("frame says %d payload bytes, have %d", plen, len(payload))
+	w := &tableWAL{}
+	buf := w.appendRecord(nil, rows)
+	payload, n, err := wal.Decode(buf, wal.MaxRecord)
+	if err != nil {
+		t.Fatalf("freshly encoded record does not decode: %v", err)
 	}
-	if crc32.ChecksumIEEE(payload) != crc {
-		t.Fatal("CRC mismatch on freshly encoded record")
+	if n != len(buf) {
+		t.Fatalf("record spans %d bytes, have %d", n, len(buf))
 	}
-	got, err := decodePayload(payload, 3)
+	got, err := DecodePayload(payload, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,53 +54,91 @@ func TestRecordRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	rows := sampleRows()
-	buf := appendRecord(nil, rows)
-	payload := buf[8:]
+	payload := AppendPayload(nil, sampleRows())
 	for cut := 0; cut < len(payload); cut += 3 {
-		if _, err := decodePayload(payload[:cut], 3); err == nil {
+		if _, err := DecodePayload(payload[:cut], 3); err == nil {
 			t.Fatalf("truncation at %d/%d decoded cleanly", cut, len(payload))
 		}
 	}
 	bad := append([]byte(nil), payload...)
 	bad[0] = 0xEE // implausible row count
-	if _, err := decodePayload(bad, 3); err == nil {
+	if _, err := DecodePayload(bad, 3); err == nil {
 		t.Fatal("corrupt row count decoded cleanly")
 	}
-	if _, err := decodePayload(payload, 4); err == nil {
+	if _, err := DecodePayload(payload, 4); err == nil {
 		t.Fatal("wrong column count decoded cleanly")
+	}
+
+	// A 12-byte payload claiming 4 Mi rows: the bytes left cannot hold them,
+	// so it is refused before any row slice is allocated (a replicated
+	// TypeRows payload reaches this decoder straight off the wire).
+	huge := binary.LittleEndian.AppendUint32(nil, 4<<20)
+	huge = append(huge, make([]byte, 8)...)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := DecodePayload(huge, 3)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("row count beyond the payload decoded cleanly")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a 12-byte payload allocated %d bytes", grew)
 	}
 }
 
-// TestHeaderRoundTrip drives readHeader, the decoder Open runs.
+// TestHeaderRoundTrip drives the WAL header check Open runs: a log opens
+// under the relation and column count it was written for, and refuses any
+// other identity or a damaged header.
 func TestHeaderRoundTrip(t *testing.T) {
-	read := func(b []byte, name string, ncols int) (int, error) {
-		return readHeader(bufio.NewReader(bytes.NewReader(b)), name, ncols)
-	}
-	buf := appendHeader(nil, "Orders", 5)
-	n, err := read(buf, "Orders", 5)
+	dir := t.TempDir()
+	inst := storage.NewInstance(testSchema())
+	inst.MustInsert("R", intRow(1, 10))
+	st, err := Open(dir, inst)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n != len(buf) {
-		t.Fatalf("header length %d, want %d", n, len(buf))
+	st.Close()
+	raw, err := os.ReadFile(filepath.Join(dir, "R.wal"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	hugeName := append([]byte(nil), buf...)
-	binary.LittleEndian.PutUint32(hugeName[len(walMagic):], 1<<16+1)
-	for _, bad := range []struct {
-		what  string
-		b     []byte
-		name  string
-		ncols int
+	hugeName := append([]byte(nil), raw...)
+	binary.LittleEndian.PutUint32(hugeName[8:], 1<<16+1)
+	threeCols := schema.MustNew(&schema.Relation{Name: "R", Attrs: []string{"ID", "w", "x"}, PK: "ID"})
+	twoCols := schema.MustNew(&schema.Relation{Name: "R", Attrs: []string{"ID", "w"}, PK: "ID"})
+	for _, c := range []struct {
+		what   string
+		b      []byte
+		schema *schema.Schema
+		ok     bool
 	}{
-		{"wrong relation name", buf, "Customer", 5},
-		{"wrong column count", buf, "Orders", 4},
-		{"header truncated in the fixed part", buf[:6], "Orders", 5},
-		{"header truncated in the name", buf[:len(walMagic)+4+3], "Orders", 5},
-		{"implausible name length", hugeName, "Orders", 5},
+		{"the relation it was written for", raw, twoCols, true},
+		{"wrong column count", raw, threeCols, false},
+		{"header truncated in the magic", raw[:6], twoCols, false},
+		{"header truncated in the name", raw[:8+4+1], twoCols, false},
+		{"implausible name length", hugeName, twoCols, false},
 	} {
-		if _, err := read(bad.b, bad.name, bad.ncols); err == nil {
-			t.Errorf("%s accepted", bad.what)
+		d := t.TempDir()
+		if err := os.WriteFile(filepath.Join(d, "R.wal"), c.b, 0o644); err != nil {
+			t.Fatal(err)
 		}
+		inst := storage.NewInstance(c.schema)
+		st, err := Open(d, inst)
+		if c.ok != (err == nil) {
+			t.Errorf("%s: Open error %v", c.what, err)
+		}
+		if err == nil {
+			requireRows(t, inst.Table("R"), []storage.Row{intRow(1, 10)})
+			st.Close()
+		}
+	}
+
+	// A log written for S does not open as R.
+	d := t.TempDir()
+	if err := os.Rename(filepath.Join(dir, "S.wal"), filepath.Join(d, "R.wal")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(d, storage.NewInstance(twoCols)); err == nil {
+		t.Error("wrong relation name accepted")
 	}
 }

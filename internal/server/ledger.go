@@ -4,17 +4,15 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
-	"strings"
 	"sync"
 	"time"
+
+	"r2t/internal/wal"
 )
 
-// LedgerEntry is one ledger line. Entries are append-only — the ledger is the
-// authoritative record of privacy spend, so nothing ever rewrites or compacts
-// it. Two kinds exist:
+// LedgerEntry is one ledger record's payload. Entries are append-only — the
+// ledger is the authoritative record of privacy spend, so nothing ever
+// rewrites or compacts it. Two kinds exist:
 //
 //   - Kind "" (a charge): dataset, ε, and audit context. Epoch, when set,
 //     records which fencing reign admitted the charge.
@@ -36,23 +34,32 @@ type LedgerEntry struct {
 // KindEpoch marks a fencing-epoch ledger record.
 const KindEpoch = "epoch"
 
+// kindProbe is what an empty record decodes to: a readiness probe, which
+// carries no spend and has no JSON form.
+const kindProbe = "probe"
+
 // ErrLedgerPoisoned reports that a previous write's durability is unknown
-// and the ledger refuses all further writes until it is reopened. The server
-// maps it to 503.
-var ErrLedgerPoisoned = errors.New("ledger poisoned: durability of a previous write is unknown; reopen to recover")
+// and the ledger refuses all further writes until it is reopened. It is the
+// durable log's poison sentinel; the server maps it to 503.
+var ErrLedgerPoisoned = wal.ErrPoisoned
 
-// LedgerMirror replicates one durable ledger line. It is called under the
-// ledger mutex, strictly in file order, after the line is locally durable;
-// size and records are the post-append totals (the line's end offset and the
-// file's newline count). sync asks the mirror to confirm replica durability
-// before returning — a non-nil error from a sync mirror aborts the charge
-// (SpendWith never admits it) but does NOT poison the ledger: the local bytes
-// are known-durable, replay merely overcounts by one unadmitted charge, which
-// is the safe side.
-type LedgerMirror func(line []byte, size int64, records uint64, sync bool) error
+// ledgerLog is the ledger's schema over the durable log: the ledger.* fault
+// sites and the header identity.
+var ledgerLog = wal.Config{Site: "ledger", Identity: "ledger"}
 
-// Ledger is the durable append-only budget write-ahead log: one JSON object
-// per line, fsynced by Append before it returns.
+// LedgerMirror replicates one durable ledger append. It is called under the
+// ledger mutex, strictly in file order, after the bytes are locally durable;
+// frames are the appended records exactly as written, size and records the
+// post-append totals (end offset and record count). sync asks the mirror to
+// confirm replica durability before returning — a non-nil error from a sync
+// mirror aborts the charge (SpendWith never admits it) but does NOT poison
+// the ledger: the local bytes are known-durable, replay merely overcounts by
+// one unadmitted charge, which is the safe side.
+type LedgerMirror func(frames []byte, size int64, records uint64, sync bool) error
+
+// Ledger is the durable append-only budget write-ahead log: one durable-log
+// record (internal/wal) per JSON LedgerEntry, fsynced by Append before it
+// returns.
 //
 // Charge ordering (the durability contract, see DESIGN.md): the server calls
 // Append from inside Budget.SpendWith's commit hook, so a charge is on disk
@@ -64,25 +71,16 @@ type LedgerMirror func(line []byte, size int64, records uint64, sync bool) error
 // extending the contract to: durable locally, then durable on SyncReplicas
 // replicas, then admitted.
 //
-// Fail-closed poisoning (DESIGN.md §9): once a write or fsync fails, the
-// bytes actually on disk are unknown — the kernel may have persisted none,
-// some, or all of them. Retrying would risk the same charge appearing twice
-// on replay; continuing to append would concatenate onto a possibly torn
-// tail. So any failed write or sync poisons the ledger: every subsequent
-// Append and Probe returns ErrLedgerPoisoned until the process reopens the
-// file, at which point replay resolves what actually persisted. Replay may
-// overcount (a charge that was durable but whose Append reported failure) —
-// that wastes ε, which is the safe side; it can never undercount an admitted
-// charge, because admission requires Append to have returned nil.
-//
-// For replication the ledger tracks its exact byte length, newline count,
-// and a running CRC-32 of every byte ever written (maintained through replay
-// and every append). Primaries use them to verify a replica's ledger is a
-// bitwise prefix of their own; replicas advertise them in the handshake.
+// Fail-closed poisoning (DESIGN.md §9) is the log's: after any failed write
+// or sync, Append and Probe return ErrLedgerPoisoned until a reopen's replay
+// resolves what persisted. Replay may overcount (a durable charge whose
+// Append reported failure wastes ε, the safe side) but never undercounts an
+// admitted charge: admission requires Append to have returned nil. The log's
+// Position lets a primary verify a replica's ledger is a bitwise prefix of
+// its own.
 type Ledger struct {
-	mu       sync.Mutex
-	f        ledgerFile
-	poisoned bool
+	mu  sync.Mutex
+	log *wal.Log
 	// probeTTL rate-limits Probe's physical append+fsync: within probeTTL of
 	// the last successful durable write (a charge append or a prior probe),
 	// Probe reports ready from that fact alone without touching the disk.
@@ -91,10 +89,6 @@ type Ledger struct {
 	// it to 0 to force every probe through the seam.
 	probeTTL  time.Duration
 	lastWrite time.Time
-
-	size    int64  // exact on-disk byte length
-	records uint64 // newline count (charges + epoch records + probe blanks)
-	crc     uint32 // CRC-32 (IEEE) over all size bytes
 
 	replayedEpoch uint64 // max epoch record seen at open or appended since
 
@@ -106,103 +100,44 @@ type Ledger struct {
 const defaultProbeTTL = 5 * time.Second
 
 // OpenLedger opens (creating if absent) the ledger at path, replays it, and
-// returns the per-dataset ε already charged.
-//
-// Every newline-terminated line must be a valid entry; anything else is
-// corruption and a hard error. A trailing line with no terminating newline —
-// the signature of a crash mid-append — is handled conservatively: if it
-// still parses as a complete entry its charge is counted (only the newline
-// was lost), otherwise the fragment is truncated away, which is safe because
-// its charge was never admitted (admission happens only after the fsync
-// succeeds).
+// returns the per-dataset ε already charged. Replay follows the durable log's
+// recovery rule: a torn tail is truncated away — its charge was never
+// admitted, admission waits for the fsync — and a complete record that fails
+// its CRC or is not a valid entry is a hard error. So is a JSON-lines ledger
+// from before the framed format: refused, never read as zero spend.
 func OpenLedger(path string) (*Ledger, map[string]float64, error) {
-	f, err := openLedgerFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("reading ledger %s: %w", path, err)
-	}
-
 	spent := make(map[string]float64)
 	var maxEpoch uint64
-	parse := func(line string, lineNo int) (LedgerEntry, error) {
-		e, err := parseLedgerEntry(line)
-		if err != nil {
-			return e, fmt.Errorf("ledger %s:%d: %w", path, lineNo, err)
-		}
-		return e, nil
-	}
-	account := func(e LedgerEntry) {
-		switch e.Kind {
-		case "":
+	log, err := wal.Open(path, ledgerLog, func(_ int64, p []byte) error {
+		e, err := parseLedgerEntry(p)
+		switch {
+		case err != nil:
+			return err
+		case e.Kind == "":
 			spent[e.Dataset] += e.Epsilon
-		case KindEpoch:
-			if e.Epoch > maxEpoch {
-				maxEpoch = e.Epoch
-			}
+		case e.Kind == KindEpoch:
+			maxEpoch = max(maxEpoch, e.Epoch)
 		}
+		return nil
+	})
+	if errors.Is(err, wal.ErrFormat) {
+		return nil, nil, fmt.Errorf("ledger %s: %w (a JSON-lines ledger written before the framed log format is refused, not read as zero spend; carry its spend over by hand)", path, err)
 	}
-
-	lines := strings.Split(string(data), "\n")
-	// lines[:len-1] are newline-terminated; lines[len-1] is "" for a cleanly
-	// terminated file, or a torn trailing fragment after a crash.
-	for i, line := range lines[:len(lines)-1] {
-		if line == "" {
-			continue
-		}
-		e, err := parse(line, i+1)
-		if err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		account(e)
+	if err != nil {
+		return nil, nil, fmt.Errorf("ledger %s: %w", path, err)
 	}
-	final := data
-	if frag := lines[len(lines)-1]; frag != "" {
-		if e, err := parse(frag, len(lines)); err == nil {
-			// Complete entry, only the newline was torn off: count the charge
-			// and terminate the line so the next append starts fresh.
-			account(e)
-			if _, err := f.Write([]byte("\n")); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("repairing ledger %s: %w", path, err)
-			}
-			final = append(append([]byte{}, data...), '\n')
-		} else {
-			// Torn fragment: its charge was never admitted. Truncate it away
-			// so future appends don't concatenate onto garbage.
-			fmt.Fprintf(os.Stderr, "r2td: dropping torn final ledger line (%v)\n", err)
-			if err := f.Truncate(int64(len(data) - len(frag))); err != nil {
-				f.Close()
-				return nil, nil, fmt.Errorf("repairing ledger %s: %w", path, err)
-			}
-			if _, err := f.Seek(int64(len(data)-len(frag)), io.SeekStart); err != nil {
-				f.Close()
-				return nil, nil, err
-			}
-			final = data[:len(data)-len(frag)]
-		}
-	}
-	l := &Ledger{
-		f:             f,
-		probeTTL:      defaultProbeTTL,
-		size:          int64(len(final)),
-		records:       uint64(strings.Count(string(final), "\n")),
-		crc:           crc32.ChecksumIEEE(final),
-		replayedEpoch: maxEpoch,
-	}
-	return l, spent, nil
+	return &Ledger{log: log, probeTTL: defaultProbeTTL, replayedEpoch: maxEpoch}, spent, nil
 }
 
-// parseLedgerEntry decodes and validates one non-blank ledger line. Replay
-// (OpenLedger) and the replica's stream applier share it, so a line is either
-// valid everywhere or corruption everywhere.
-func parseLedgerEntry(line string) (LedgerEntry, error) {
+// parseLedgerEntry decodes and validates one record payload. Replay
+// (OpenLedger) and the replica's stream applier share it, so a record is
+// either valid everywhere or corruption everywhere.
+func parseLedgerEntry(p []byte) (LedgerEntry, error) {
+	if len(p) == 0 {
+		return LedgerEntry{Kind: kindProbe}, nil
+	}
 	var e LedgerEntry
-	if err := json.Unmarshal([]byte(line), &e); err != nil {
+	if err := json.Unmarshal(p, &e); err != nil {
 		return e, fmt.Errorf("corrupt entry: %w", err)
 	}
 	switch e.Kind {
@@ -230,48 +165,25 @@ func (l *Ledger) SetMirror(m LedgerMirror) {
 	l.mirror = m
 }
 
-// appendLocked durably appends buf (which must end in exactly one '\n' per
-// record... in practice: buf is one line including its newline, or a bare
-// probe newline), fsyncs, updates the position counters, and then runs the
-// mirror. Caller holds l.mu. The mirror runs only after local durability is
-// established (committed=true), so a mirror failure aborts the caller's
-// charge without poisoning: the local bytes are fine, replay just overcounts.
-func (l *Ledger) appendLocked(buf []byte, what string, sync bool) error {
-	if l.poisoned {
-		return ErrLedgerPoisoned
+// appendLocked durably appends frames (whole records), then runs the mirror.
+// Caller holds l.mu. The mirror runs only after local durability is
+// established, so a mirror failure aborts the caller's charge without
+// poisoning: the local bytes are fine, replay just overcounts.
+func (l *Ledger) appendLocked(frames []byte, what string, sync bool) error {
+	if err := l.log.Append(frames); err != nil {
+		return fmt.Errorf("ledger %s: %w", what, err)
 	}
-	// The defer (not a plain assignment on the error paths) also poisons on
-	// a panic between write and sync — durability is unknown there too.
-	committed := false
-	defer func() {
-		if !committed {
-			l.poisoned = true
-		}
-	}()
-	if _, err := l.f.Write(buf); err != nil {
-		return fmt.Errorf("ledger %s: %w: %w", what, err, ErrLedgerPoisoned)
-	}
-	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("ledger %s sync: %w: %w", what, err, ErrLedgerPoisoned)
-	}
-	committed = true
 	l.lastWrite = time.Now()
-	l.size += int64(len(buf))
-	l.crc = crc32.Update(l.crc, crc32.IEEETable, buf)
-	for _, b := range buf {
-		if b == '\n' {
-			l.records++
-		}
-	}
 	if l.mirror != nil {
-		if err := l.mirror(buf, l.size, l.records, sync); err != nil {
+		size, records, _ := l.log.Position()
+		if err := l.mirror(frames, size, records, sync); err != nil {
 			return fmt.Errorf("ledger replication: %w", err)
 		}
 	}
 	return nil
 }
 
-// Append durably logs one charge: the entry is written as a single line and
+// Append durably logs one charge: the entry is written as one record and
 // fsynced before Append returns. Callers invoke it from Budget.SpendWith so
 // the charge is only admitted if durability succeeded. Any failure — error,
 // short write, or panic mid-append — poisons the ledger (see the type
@@ -282,14 +194,13 @@ func (l *Ledger) Append(e LedgerEntry) error {
 	if e.Time == "" {
 		e.Time = time.Now().UTC().Format(time.RFC3339Nano)
 	}
-	buf, err := json.Marshal(e)
+	p, err := json.Marshal(e)
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.appendLocked(buf, "append", true)
+	return l.appendLocked(wal.AppendRecord(nil, p), "append", true)
 }
 
 // AppendEpoch durably writes a fencing-epoch record: this node claims reign
@@ -297,7 +208,7 @@ func (l *Ledger) Append(e LedgerEntry) error {
 // depends on a replica having seen it (a replica that missed it is caught by
 // the handshake's prefix check instead).
 func (l *Ledger) AppendEpoch(epoch uint64, node string) error {
-	buf, err := json.Marshal(LedgerEntry{
+	p, err := json.Marshal(LedgerEntry{
 		Time:  time.Now().UTC().Format(time.RFC3339Nano),
 		Kind:  KindEpoch,
 		Epoch: epoch,
@@ -306,39 +217,33 @@ func (l *Ledger) AppendEpoch(epoch uint64, node string) error {
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(buf, "epoch append", false); err != nil {
+	if err := l.appendLocked(wal.AppendRecord(nil, p), "epoch append", false); err != nil {
 		return err
 	}
-	if epoch > l.replayedEpoch {
-		l.replayedEpoch = epoch
-	}
+	l.replayedEpoch = max(l.replayedEpoch, epoch)
 	return nil
 }
 
 // AppendRaw durably appends replicated ledger bytes verbatim — the replica
 // side of the protocol, preserving the invariant that a replica's ledger is
-// a bitwise prefix of its primary's. b must be whole newline-terminated
-// lines; the caller has already parsed and validated them.
+// a bitwise prefix of its primary's. b must be whole records; bytes that do
+// not decode are refused before anything is written.
 func (l *Ledger) AppendRaw(b []byte) error {
 	if len(b) == 0 {
 		return nil
-	}
-	if b[len(b)-1] != '\n' {
-		return fmt.Errorf("ledger raw append: %d bytes not newline-terminated", len(b))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.appendLocked(b, "raw append", false)
 }
 
-// Probe verifies the ledger is still writable by appending and fsyncing a
-// single newline (replay skips blank lines, so probes cost no ε and leave no
-// charge). The readiness endpoint calls it; like Append it is fail-closed —
-// a probe whose durability is unknown poisons the ledger rather than letting
-// real charges race a dying disk.
+// Probe verifies the ledger is still writable by appending and fsyncing an
+// empty record (replay skips it, so probes cost no ε and leave no charge).
+// The readiness endpoint calls it; like Append it is fail-closed — a probe
+// whose durability is unknown poisons the ledger rather than letting real
+// charges race a dying disk.
 //
 // Physical probes are rate-limited to one per probeTTL: a successful durable
 // write in the window (a charge append counts — it is a better probe than
@@ -351,51 +256,29 @@ func (l *Ledger) AppendRaw(b []byte) error {
 func (l *Ledger) Probe() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.poisoned {
-		return ErrLedgerPoisoned
+	if err := l.log.Poisoned(); err != nil {
+		return err
 	}
 	if !l.lastWrite.IsZero() && time.Since(l.lastWrite) < l.probeTTL {
 		return nil
 	}
-	return l.appendLocked([]byte("\n"), "probe", false)
+	return l.appendLocked(wal.AppendRecord(nil), "probe", false) // an empty record
 }
 
 // Poisoned reports whether the ledger has rejected writes since a failed
 // append (metrics and readiness expose it).
-func (l *Ledger) Poisoned() bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.poisoned
-}
+func (l *Ledger) Poisoned() bool { return l.log.Poisoned() != nil }
 
-// Size returns the exact on-disk byte length.
-func (l *Ledger) Size() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size
-}
-
-// Records returns the ledger's newline count (every line: charges, epoch
-// records, probe blanks) — the unit of the replication lag metric.
-func (l *Ledger) Records() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.records
-}
-
-// CRC returns the running CRC-32 (IEEE) over all Size bytes.
-func (l *Ledger) CRC() uint32 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.crc
-}
-
-// Position returns size, records, and CRC in one consistent snapshot.
+// Position returns the ledger's byte length, record count (charges, epoch
+// records, probes — the unit of the replication lag metric) and CRC in one
+// consistent snapshot.
 func (l *Ledger) Position() (size int64, records uint64, crc uint32) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.size, l.records, l.crc
+	return l.log.Position()
 }
+
+// Stats snapshots the ledger's log counters (exported on /metrics beside the
+// table WALs').
+func (l *Ledger) Stats() wal.Stats { return l.log.Stats() }
 
 // ReplayedEpoch returns the highest fencing epoch in the ledger (0 if none).
 func (l *Ledger) ReplayedEpoch() uint64 {
@@ -405,8 +288,4 @@ func (l *Ledger) ReplayedEpoch() uint64 {
 }
 
 // Close closes the underlying file.
-func (l *Ledger) Close() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.f.Close()
-}
+func (l *Ledger) Close() error { return l.log.Close() }

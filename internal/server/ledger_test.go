@@ -1,10 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"r2t/internal/wal"
 )
 
 func TestLedgerAppendReplay(t *testing.T) {
@@ -52,18 +56,47 @@ func TestLedgerAppendReplay(t *testing.T) {
 	}
 }
 
-func TestLedgerTornFinalLine(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "l.jsonl")
-	body := `{"dataset":"a","epsilon":0.5}` + "\n" + `{"dataset":"a","eps` // torn mid-append
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+// framedLedger returns the bytes of a framed ledger file: the header, then
+// one record per payload, then tail verbatim.
+func framedLedger(tb testing.TB, tail []byte, payloads ...string) []byte {
+	tb.Helper()
+	path := filepath.Join(tb.TempDir(), "header.ledger")
+	l, err := wal.Create(path, ledgerLog, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	l.Close()
+	body, err := os.ReadFile(path)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, p := range payloads {
+		body = wal.AppendRecord(body, []byte(p))
+	}
+	return append(body, tail...)
+}
+
+// writeLedger writes framedLedger's bytes to path.
+func writeLedger(t *testing.T, path string, tail []byte, payloads ...string) {
+	t.Helper()
+	if err := os.WriteFile(path, framedLedger(t, tail, payloads...), 0o644); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestLedgerTornFinalFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "l.ledger")
+	torn := wal.AppendRecord(nil, []byte(`{"dataset":"a","epsilon":0.25}`))
+	writeLedger(t, path, torn[:len(torn)-4], `{"dataset":"a","epsilon":0.5}`) // torn mid-append
 	l, spent, err := OpenLedger(path)
 	if err != nil {
-		t.Fatalf("torn final line must be tolerated: %v", err)
+		t.Fatalf("torn final frame must be tolerated: %v", err)
 	}
 	if spent["a"] != 0.5 {
 		t.Fatalf("spend: %v", spent)
+	}
+	if st := l.Stats(); st.TornBytes != uint64(len(torn)-4) || st.ReplayedRecs != 1 {
+		t.Fatalf("stats %+v, want %d torn bytes and 1 replayed record", st, len(torn)-4)
 	}
 	// The torn fragment is truncated, so a new append lands cleanly.
 	if err := l.Append(LedgerEntry{Dataset: "a", Epsilon: 0.25}); err != nil {
@@ -80,14 +113,12 @@ func TestLedgerTornFinalLine(t *testing.T) {
 	}
 }
 
-func TestLedgerTornNewlineOnly(t *testing.T) {
-	// A complete final entry that lost only its newline: the charge counts
-	// and the file is repaired in place.
-	path := filepath.Join(t.TempDir(), "l.jsonl")
-	body := `{"dataset":"a","epsilon":0.5}` + "\n" + `{"dataset":"a","epsilon":0.25}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
-	}
+func TestLedgerZeroFilledTail(t *testing.T) {
+	// A complete final entry followed by zeros (the file grew, the next
+	// append's bytes never landed): the charge counts and the zeros are
+	// truncated in place.
+	path := filepath.Join(t.TempDir(), "l.ledger")
+	writeLedger(t, path, make([]byte, 64), `{"dataset":"a","epsilon":0.5}`, `{"dataset":"a","epsilon":0.25}`)
 	l, spent, err := OpenLedger(path)
 	if err != nil {
 		t.Fatal(err)
@@ -110,23 +141,55 @@ func TestLedgerTornNewlineOnly(t *testing.T) {
 }
 
 func TestLedgerCorruptionIsFatal(t *testing.T) {
-	cases := []string{
-		"garbage\n" + `{"dataset":"a","epsilon":0.5}` + "\n",  // corrupt interior line
-		`{"dataset":"","epsilon":0.5}` + "\n",                 // missing dataset
-		`{"dataset":"a","epsilon":-1}` + "\n",                 // non-positive charge
-		`{"dataset":"a","epsilon":0}` + "\n",                  // zero charge
-		`{"dataset":"a"}` + "\n",                              // absent charge
-		"\x00\x01\n" + `{"dataset":"a","epsilon":0.5}` + "\n", // binary junk
+	valid := `{"dataset":"a","epsilon":0.5}`
+	flipped := wal.AppendRecord(nil, []byte(valid))
+	flipped[12] ^= 0x01
+	cases := []struct {
+		tail     []byte
+		payloads []string
+	}{
+		{nil, []string{"garbage", valid}},                               // corrupt interior entry
+		{nil, []string{`{"dataset":"","epsilon":0.5}`}},                 // missing dataset
+		{nil, []string{`{"dataset":"a","epsilon":-1}`}},                 // non-positive charge
+		{nil, []string{`{"dataset":"a","epsilon":0}`}},                  // zero charge
+		{nil, []string{`{"dataset":"a"}`}},                              // absent charge
+		{nil, []string{"\x00\x01", valid}},                              // binary junk
+		{flipped, []string{valid}},                                      // final frame fails its CRC
+		{append(flipped, wal.AppendRecord(nil, []byte(valid))...), nil}, // interior frame fails its CRC
 	}
-	for _, body := range cases {
-		path := filepath.Join(t.TempDir(), "l.jsonl")
-		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	for _, c := range cases {
+		path := filepath.Join(t.TempDir(), "l.ledger")
+		writeLedger(t, path, c.tail, c.payloads...)
 		if _, _, err := OpenLedger(path); err == nil {
-			t.Errorf("corrupt ledger %q accepted", body)
+			t.Errorf("corrupt ledger %q + %q accepted", c.payloads, c.tail)
 		} else if !strings.Contains(err.Error(), "ledger") {
 			t.Errorf("error should identify the ledger: %v", err)
 		}
+	}
+}
+
+// TestLedgerRefusesJSONLines: a ledger in the JSON-lines format that came
+// before the framed log is refused with an error naming the format — never
+// read as zero spend — and left untouched for an operator to carry over.
+func TestLedgerRefusesJSONLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "l.ledger")
+	body := []byte(`{"time":"2022-06-13T00:00:00Z","dataset":"a","epsilon":0.5}` + "\n\n")
+	if err := os.WriteFile(path, body, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, spent, err := OpenLedger(path)
+	if err == nil {
+		l.Close()
+		t.Fatalf("JSON-lines ledger opened with spend %v", spent)
+	}
+	if !errors.Is(err, wal.ErrFormat) || !strings.Contains(err.Error(), "JSON-lines") {
+		t.Fatalf("error %q does not name the JSON-lines format", err)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, body) {
+		t.Fatal("refused ledger was modified")
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"r2t"
+	"r2t/internal/wal"
 )
 
 // Request outcome labels for the r2td_queries_total counter. cache_hit
@@ -196,8 +197,12 @@ func (m *metrics) writeTo(w io.Writer, reg *Registry, cache *answerCache, ledger
 	// Read the ledger gauge before taking m.mu (independent locks, and the
 	// ledger must never wait on a metrics scrape).
 	poisoned := 0
-	if ledger != nil && ledger.Poisoned() {
-		poisoned = 1
+	var lst wal.Stats
+	if ledger != nil {
+		if ledger.Poisoned() {
+			poisoned = 1
+		}
+		lst = ledger.Stats()
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -207,6 +212,13 @@ func (m *metrics) writeTo(w io.Writer, reg *Registry, cache *answerCache, ledger
 
 	fmt.Fprintf(w, "# HELP r2td_ledger_poisoned Whether the budget ledger is fail-closed after a write of unknown durability (1 = rejecting all charges until reopen).\n# TYPE r2td_ledger_poisoned gauge\n")
 	fmt.Fprintf(w, "r2td_ledger_poisoned %d\n", poisoned)
+	// The ledger is the same durable log as the table WALs below, and
+	// exports the same counters.
+	fmt.Fprintf(w, "# HELP r2td_ledger_appends_total Records durably appended to the budget ledger since startup (charges, epoch records, probes, replicated records).\n# TYPE r2td_ledger_appends_total counter\nr2td_ledger_appends_total %d\n", lst.Appends)
+	fmt.Fprintf(w, "# HELP r2td_ledger_fsyncs_total fsync calls on the budget ledger.\n# TYPE r2td_ledger_fsyncs_total counter\nr2td_ledger_fsyncs_total %d\n", lst.Fsyncs)
+	fmt.Fprintf(w, "# HELP r2td_ledger_fsync_seconds_total Cumulative wall time in budget-ledger fsyncs.\n# TYPE r2td_ledger_fsync_seconds_total counter\nr2td_ledger_fsync_seconds_total %g\n", lst.FsyncSeconds)
+	fmt.Fprintf(w, "# HELP r2td_ledger_replay_records_total Ledger records replayed at startup.\n# TYPE r2td_ledger_replay_records_total counter\nr2td_ledger_replay_records_total %d\n", lst.ReplayedRecs)
+	fmt.Fprintf(w, "# HELP r2td_ledger_torn_bytes_total Torn-tail bytes truncated from the ledger during replay (a crash mid-append, repaired).\n# TYPE r2td_ledger_torn_bytes_total counter\nr2td_ledger_torn_bytes_total %d\n", lst.TornBytes)
 
 	writeReplMetrics(w, repl)
 

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,6 +16,7 @@ import (
 	"r2t/internal/repl"
 	"r2t/internal/segstore"
 	"r2t/internal/storage"
+	"r2t/internal/wal"
 )
 
 // Replication roles (Config.Role).
@@ -39,8 +39,8 @@ var errFenced = errors.New("r2td: this node is fenced: a newer primary epoch exi
 // errNotPrimary redirects charging requests away from replicas.
 var errNotPrimary = errors.New("r2td: this node is a replica: charges must go to the primary")
 
-// replCatchupChunk bounds one ledger catch-up chunk; chunks are extended past
-// the bound to the next newline so every chunk is whole lines.
+// replCatchupChunk bounds one ledger catch-up chunk; a chunk closes on the
+// first record that reaches the bound, so every chunk is whole records.
 const replCatchupChunk = 256 << 10
 
 // replRowsBatch bounds one replicated row frame, matching the segstore's own
@@ -309,11 +309,11 @@ func (s *Server) ReplAddr() string {
 	return st.hubLn.Addr().String()
 }
 
-// mirrorLedger is the LedgerMirror: every durable ledger line becomes a
-// TypeLedger frame. Synchronous lines (charges) block for minSync replica
+// mirrorLedger is the LedgerMirror: every durable ledger append becomes a
+// TypeLedger frame. Synchronous appends (charges) block for minSync replica
 // acknowledgements; everything else (probes, epoch records) is fire-and-
 // forget so byte offsets stay aligned without serializing on the network.
-func (s *Server) mirrorLedger(line []byte, size int64, records uint64, sync bool) error {
+func (s *Server) mirrorLedger(frames []byte, size int64, records uint64, sync bool) error {
 	st := s.repl
 	hub := st.currentHub()
 	if hub == nil {
@@ -322,7 +322,7 @@ func (s *Server) mirrorLedger(line []byte, size int64, records uint64, sync bool
 	f := repl.Frame{
 		Type:    repl.TypeLedger,
 		Epoch:   st.epoch.Load(),
-		Payload: repl.EncodeLedgerChunk(size, records, line),
+		Payload: repl.EncodeLedgerChunk(size, records, frames),
 	}
 	if !sync {
 		hub.Publish(f)
@@ -353,7 +353,7 @@ func (s *Server) rowsMirror(ds *Dataset) segstore.RowsMirror {
 					Relation: relation,
 					StartRow: int64(startRow + start),
 					NCols:    ncols,
-					Payload:  segstore.EncodePayload(rows[start:end]),
+					Payload:  segstore.AppendPayload(nil, rows[start:end]),
 				}),
 			})
 		}
@@ -417,37 +417,46 @@ func (rs *replSource) Handshake(h repl.Hello) (repl.Welcome, []repl.Frame, error
 	// Read the frozen range [0, size) once: the prefix for CRC verification,
 	// the remainder for catch-up. Appends racing past size are already
 	// buffered in the replica's registered session.
-	data, err := s.readLedgerRange(size)
+	data, err := os.ReadFile(s.ledgerPath)
+	if err == nil && int64(len(data)) < size {
+		err = io.ErrUnexpectedEOF
+	}
 	if err != nil {
 		return w, nil, fmt.Errorf("reading ledger for catch-up: %w", err)
 	}
-	if crc32.ChecksumIEEE(data[:h.LedgerSize]) != h.LedgerCRC {
+	data = data[:size]
+	if wal.Checksum(data[:h.LedgerSize]) != h.LedgerCRC {
 		return w, nil, fmt.Errorf("replica ledger is not a prefix of the primary's (diverged at or before byte %d)", h.LedgerSize)
 	}
 
+	// The suffix the replica lacks, split on record boundaries into chunks of
+	// about replCatchupChunk bytes. A matching prefix ends on a record
+	// boundary, so a suffix that does not decode has diverged too.
 	var frames []repl.Frame
 	remainder := data[h.LedgerSize:]
-	seq := records - uint64(bytes.Count(remainder, []byte("\n")))
+	n, err := wal.Each(remainder, nil)
+	if err != nil {
+		return w, nil, fmt.Errorf("ledger suffix after byte %d: %w", h.LedgerSize, err)
+	}
+	seq := records - uint64(n)
 	off := h.LedgerSize
 	for len(remainder) > 0 {
-		n := len(remainder)
-		if n > replCatchupChunk {
-			// Extend to the next newline so chunks are whole lines; a single
-			// line can exceed the bound (normalized SQL is capped by the HTTP
-			// body limit, far under the frame maximum).
-			if nl := bytes.IndexByte(remainder[replCatchupChunk:], '\n'); nl >= 0 {
-				n = replCatchupChunk + nl + 1
+		cut := 0
+		for cut < len(remainder) && cut < replCatchupChunk {
+			_, m, err := wal.Decode(remainder[cut:], wal.MaxRecord)
+			if err != nil {
+				return w, nil, fmt.Errorf("ledger suffix at byte %d: %w", off+int64(cut), err)
 			}
+			cut += m
+			seq++
 		}
-		chunk := remainder[:n]
-		off += int64(n)
-		seq += uint64(bytes.Count(chunk, []byte("\n")))
+		off += int64(cut)
 		frames = append(frames, repl.Frame{
 			Type:    repl.TypeLedger,
 			Epoch:   w.Epoch,
-			Payload: repl.EncodeLedgerChunk(off, seq, chunk),
+			Payload: repl.EncodeLedgerChunk(off, seq, remainder[:cut]),
 		})
-		remainder = remainder[n:]
+		remainder = remainder[cut:]
 	}
 
 	// Row catch-up, in schema (FK-topological) order per dataset so the
@@ -481,27 +490,13 @@ func (rs *replSource) Handshake(h repl.Hello) (repl.Welcome, []repl.Frame, error
 						Relation: rel,
 						StartRow: int64(start),
 						NCols:    ncols,
-						Payload:  segstore.EncodePayload(snap[start:end]),
+						Payload:  segstore.AppendPayload(nil, snap[start:end]),
 					}),
 				})
 			}
 		}
 	}
 	return w, frames, nil
-}
-
-// readLedgerRange reads the first size bytes of the ledger file.
-func (s *Server) readLedgerRange(size int64) ([]byte, error) {
-	f, err := os.Open(s.ledgerPath)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	buf := make([]byte, size)
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
 }
 
 // replicaApplier implements repl.Applier over the server's local state: the
@@ -535,10 +530,10 @@ func (a *replicaApplier) Hello() (repl.Hello, error) {
 }
 
 // ApplyLedger appends the fresh suffix of a replicated chunk to the local
-// ledger and accounts its charges. Lines are parsed BEFORE the raw append:
-// an unparseable line must fail the chunk without the bytes landing,
-// otherwise the reconnect would skip them by offset and their charges would
-// never be accounted.
+// ledger and accounts its charges. Records are decoded BEFORE the raw append:
+// an invalid record must fail the chunk without the bytes landing, otherwise
+// the reconnect would skip them by offset and their charges would never be
+// accounted.
 func (a *replicaApplier) ApplyLedger(end int64, seq uint64, data []byte) (int64, uint64, error) {
 	s := a.s
 	size, records, _ := s.ledger.Position()
@@ -550,9 +545,13 @@ func (a *replicaApplier) ApplyLedger(end int64, seq uint64, data []byte) (int64,
 		return size, records, fmt.Errorf("ledger gap: chunk starts at %d, local ledger at %d", start, size)
 	}
 	fresh := data[size-start:]
-	entries, err := parseLedgerLines(fresh)
-	if err != nil {
-		return size, records, err
+	var entries []LedgerEntry
+	if _, err := wal.Each(fresh, func(p []byte) error {
+		e, err := parseLedgerEntry(p)
+		entries = append(entries, e)
+		return err
+	}); err != nil {
+		return size, records, fmt.Errorf("replicated ledger: %w", err)
 	}
 	if err := s.ledger.AppendRaw(fresh); err != nil {
 		return size, records, err
@@ -572,26 +571,6 @@ func (a *replicaApplier) ApplyLedger(end int64, seq uint64, data []byte) (int64,
 	}
 	nsize, nrecords, _ := s.ledger.Position()
 	return nsize, nrecords, nil
-}
-
-// parseLedgerLines validates a run of complete ledger lines and returns the
-// non-blank entries.
-func parseLedgerLines(b []byte) ([]LedgerEntry, error) {
-	if len(b) == 0 || b[len(b)-1] != '\n' {
-		return nil, fmt.Errorf("replicated ledger bytes are not whole lines (%d bytes)", len(b))
-	}
-	var out []LedgerEntry
-	for i, line := range bytes.Split(b[:len(b)-1], []byte("\n")) {
-		if len(line) == 0 {
-			continue // probe blank
-		}
-		e, err := parseLedgerEntry(string(line))
-		if err != nil {
-			return nil, fmt.Errorf("replicated ledger line %d: %w", i+1, err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }
 
 // ApplyRows inserts the fresh suffix of a replicated row batch through the

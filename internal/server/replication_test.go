@@ -15,6 +15,7 @@ import (
 
 	"r2t/internal/fault"
 	"r2t/internal/repl"
+	"r2t/internal/wal"
 )
 
 // replNodeConfig builds one cluster node's Config: the shared graph dataset
@@ -114,34 +115,34 @@ func waitReplicaReady(t *testing.T, n *replNode) {
 	})
 }
 
-// parseLedgerFile reads a ledger file and returns its charge fingerprints,
+// ledgerRecords is a node's ledger record count.
+func ledgerRecords(n *replNode) uint64 {
+	_, records, _ := n.srv.ledger.Position()
+	return records
+}
+
+// parseLedgerFile replays a ledger file and returns its charge fingerprints,
 // total charged ε, and the highest fencing epoch.
 func parseLedgerFile(t *testing.T, path string) (fps map[string]bool, totalEps float64, maxEpoch uint64) {
 	t.Helper()
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 	fps = make(map[string]bool)
-	lines := strings.Split(string(data), "\n")
-	for _, line := range lines[:len(lines)-1] {
-		if line == "" {
-			continue
-		}
-		e, err := parseLedgerEntry(line)
-		if err != nil {
-			t.Fatalf("ledger %s: %v", path, err)
-		}
-		switch e.Kind {
-		case "":
+	log, err := wal.Open(path, ledgerLog, func(_ int64, p []byte) error {
+		e, err := parseLedgerEntry(p)
+		switch {
+		case err != nil:
+			return err
+		case e.Kind == "":
 			fps[e.Fingerprint] = true
 			totalEps += e.Epsilon
-		case KindEpoch:
-			if e.Epoch > maxEpoch {
-				maxEpoch = e.Epoch
-			}
+		case e.Kind == KindEpoch:
+			maxEpoch = max(maxEpoch, e.Epoch)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("ledger %s: %v", path, err)
 	}
+	log.Close()
 	return fps, totalEps, maxEpoch
 }
 
@@ -173,7 +174,7 @@ func TestReplicationCatchUpServeAndPromote(t *testing.T) {
 
 	// Catch-up must have replicated the charge into b's ledger and budget.
 	waitForCond(t, "ledger catch-up", func() bool {
-		return b.srv.ledger.Records() == a.srv.ledger.Records()
+		return ledgerRecords(b) == ledgerRecords(a)
 	})
 	if spent := b.srv.reg.Get("graph").Budget.Spent(); spent < 0.5 {
 		t.Fatalf("replica budget spent = %g, want >= 0.5", spent)
@@ -339,7 +340,7 @@ func TestChaosFailoverPromotion(t *testing.T) {
 		// before the fault window opens (so the fault can only hurt the
 		// doomed, unadmitted charge below).
 		waitForCond(t, "ledger drain", func() bool {
-			return rep.srv.ledger.Records() == cur.srv.ledger.Records()
+			return ledgerRecords(rep) == ledgerRecords(cur)
 		})
 		wantRows := cur.srv.reg.Get("graph").DB.Instance().Table("Edge").Len()
 		waitForCond(t, "row drain", func() bool {
@@ -540,16 +541,17 @@ func TestLedgerMirrorContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
+	header, _, _ := l.Position()
 
 	var mirrored []string
 	var sizes []int64
 	failNext := errors.New("replicas unreachable")
 	var failArmed bool
-	l.SetMirror(func(line []byte, size int64, records uint64, sync bool) error {
+	l.SetMirror(func(frames []byte, size int64, records uint64, sync bool) error {
 		if failArmed && sync {
 			return failNext
 		}
-		mirrored = append(mirrored, string(line))
+		mirrored = append(mirrored, string(frames))
 		sizes = append(sizes, size)
 		return nil
 	})
@@ -564,18 +566,19 @@ func TestLedgerMirrorContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(mirrored) != 2 {
-		t.Fatalf("mirrored %d lines, want 2 (epoch + charge; TTL-suppressed probe must not mirror)", len(mirrored))
+		t.Fatalf("mirrored %d appends, want 2 (epoch + charge; TTL-suppressed probe must not mirror)", len(mirrored))
 	}
-	// Offsets are the running end-of-line positions, in file order.
-	want := int64(0)
-	for i, line := range mirrored {
-		want += int64(len(line))
+	// Offsets are the running end-of-record positions after the header, in
+	// file order.
+	want := header
+	for i, frames := range mirrored {
+		want += int64(len(frames))
 		if sizes[i] != want {
 			t.Fatalf("mirror %d: size %d, want %d", i, sizes[i], want)
 		}
 	}
-	if l.Size() != want {
-		t.Fatalf("ledger size %d, want %d", l.Size(), want)
+	if size, _, _ := l.Position(); size != want {
+		t.Fatalf("ledger size %d, want %d", size, want)
 	}
 
 	// A sync-mirror failure aborts the charge but must NOT poison: the local
@@ -594,12 +597,15 @@ func TestLedgerMirrorContract(t *testing.T) {
 	}
 
 	// AppendRaw preserves bytes verbatim (the bitwise-prefix property) and
-	// rejects non-line input.
-	if err := l.AppendRaw([]byte("not a line")); err == nil {
-		t.Fatal("AppendRaw must reject bytes without a trailing newline")
+	// rejects bytes that are not whole records.
+	if err := l.AppendRaw([]byte("not a record")); err == nil {
+		t.Fatal("AppendRaw must reject bytes that are not whole records")
 	}
-	raw := []byte("{\"dataset\":\"d\",\"epsilon\":1,\"time\":\"t\"}\n")
-	preSize := l.Size()
+	raw := wal.AppendRecord(nil, []byte("{\"dataset\":\"d\",\"epsilon\":1,\"time\":\"t\"}"))
+	if err := l.AppendRaw(raw[:len(raw)-1]); err == nil {
+		t.Fatal("AppendRaw must reject a torn record")
+	}
+	preSize, _, _ := l.Position()
 	if err := l.AppendRaw(raw); err != nil {
 		t.Fatal(err)
 	}

@@ -5,8 +5,9 @@
 // lacks:
 //
 //   - per-dataset ε budgets enforced through a durable append-only ledger
-//     (JSON lines, fsynced, replayed on startup — a restart never resets
-//     privacy spend, and the charge is logged *before* the mechanism runs);
+//     (framed internal/wal records of JSON entries, fsynced, replayed on
+//     startup — a restart never resets privacy spend, and the charge is
+//     logged *before* the mechanism runs);
 //   - a free-replay answer cache: a repeated (dataset, normalized SQL, ε,
 //     GS_Q, β, primary-set) release is served from cache at zero additional
 //     ε, because re-publishing an already-released DP output is

@@ -406,6 +406,14 @@ func TestServerStageMetricsAndRequestLog(t *testing.T) {
 			t.Errorf("/metrics missing count series for stage %s", stage)
 		}
 	}
+	// The ledger exports the durable log's counters beside the table WALs':
+	// one charge is one record and one fsync.
+	for _, want := range []string{"r2td_ledger_appends_total 1\n", "r2td_ledger_fsyncs_total 1\n",
+		"r2td_ledger_fsync_seconds_total ", "r2td_ledger_replay_records_total 0\n", "r2td_ledger_torn_bytes_total 0\n"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
 
 	// The request log has one JSON line per request, stages on the fresh run.
 	lines := strings.Split(strings.TrimRight(logBuf.String(), "\n"), "\n")
@@ -434,6 +442,21 @@ func TestServerStageMetricsAndRequestLog(t *testing.T) {
 	}
 	if es[2].Code != http.StatusBadRequest || es[2].Error == "" {
 		t.Errorf("failure log entry: %+v", es[2])
+	}
+
+	// A second server over the same ledger replays the charge and says so.
+	cfg.RequestLog = nil
+	srv2, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv2.Close()
+	var m2 strings.Builder
+	srv2.metrics.writeTo(&m2, srv2.reg, srv2.cache, srv2.ledger, srv2.repl)
+	for _, want := range []string{"r2td_ledger_appends_total 0\n", "r2td_ledger_replay_records_total 1\n"} {
+		if !strings.Contains(m2.String(), want) {
+			t.Errorf("restarted /metrics missing %q", want)
+		}
 	}
 }
 
