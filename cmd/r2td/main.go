@@ -193,9 +193,6 @@ func main() {
 		drain      = flag.Duration("drain", 30*time.Second, "graceful shutdown deadline on SIGTERM")
 		seed       = flag.Int64("seed", 0, "deterministic noise seed, TESTS ONLY (0 = cryptographically seeded per query)")
 		reqLog     = flag.String("request-log", "", "append one JSON line per request (outcome, latency, stage timings) to this OPERATOR-SIDE file; never expose it to analysts")
-		ansMax     = flag.Int("answer-cache-max", 0, "max recorded releases in the free-replay cache, LRU-evicted (0 = default 65536); evicted replays re-charge ε")
-		ansTTL     = flag.Duration("answer-cache-ttl", 0, "expire recorded releases after this age (0 = never); expired replays re-charge ε")
-		shareCap   = flag.Int("join-share-cap", 0, "join cores cached per dataset for cross-query sharing (0 = engine default, negative = disable sharing); answers are identical either way")
 		dataDir    = flag.String("data-dir", "", "make every dataset durable under DIR/<name>/ (WAL-backed tables, /v1/append enabled, crash recovery on startup); per-dataset dir= overrides")
 
 		role       = flag.String("role", "primary", "node role: primary (owns the ε-ledger, admits charges), replica (pulls the primary's ledger, serves reads, redirects charges), or router (fronts a sharded cluster, owns the group ε-ledger, scatters sub-queries)")
@@ -204,7 +201,6 @@ func main() {
 		primary    = flag.String("primary-addr", "", "replica: the primary's -repl-listen address to pull from (required with -role=replica)")
 		syncRepl   = flag.Int("sync-replicas", 0, "replicas that must acknowledge each charge before it is admitted (0 = async; production clusters should set 1+)")
 		ackTimeout = flag.Duration("repl-ack-timeout", 5*time.Second, "how long a synchronous charge waits for replica acks before failing 503")
-		dedupMax   = flag.Int("append-dedup-max", 0, "X-R2T-Append-Id idempotency window size, LRU-evicted (0 = default 4096)")
 
 		shardTimeout = flag.Duration("shard-timeout", 0, "router: per-shard sub-query deadline (0 = default 5s)")
 		shardHedge   = flag.Duration("shard-hedge", 0, "router: start a hedged duplicate sub-query after this silence (0 = timeout/4)")
@@ -231,16 +227,12 @@ func main() {
 		ExecWorkers:    *execWork,
 		RequestTimeout: *timeout,
 		Seed:           *seed,
-		AnswerCacheMax: *ansMax,
-		AnswerCacheTTL: *ansTTL,
-		JoinShareCap:   *shareCap,
 		Role:           *role,
 		NodeName:       *nodeName,
 		ReplListen:     *replListen,
 		PrimaryAddr:    *primary,
 		SyncReplicas:   *syncRepl,
 		ReplAckTimeout: *ackTimeout,
-		AppendDedupMax: *dedupMax,
 		ShardTimeout:   *shardTimeout,
 		ShardHedge:     *shardHedge,
 	}

@@ -199,7 +199,7 @@ func TestCoreCacheHitStaleAndEvict(t *testing.T) {
 	}
 
 	st := cc.Stats()
-	if st.Hits != 1 || st.Misses != 4 || st.Stale != 1 || st.Evictions < 1 || st.Entries != 1 {
+	if st.Hits != 1 || st.Misses != 4 || st.Invalidations != 1 || st.Evictions < 1 || st.Entries != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }

@@ -1,13 +1,13 @@
 package exec
 
 import (
-	"container/list"
 	"context"
 	"fmt"
 	"strconv"
 	"strings"
 	"sync"
 
+	"r2t/internal/cache"
 	"r2t/internal/plan"
 	"r2t/internal/storage"
 )
@@ -22,63 +22,38 @@ import (
 //     itself uses, so a core built before an Append can never be served
 //     after it.
 //
-// Lookups for a signature whose core is currently being built single-flight:
-// followers block until the leader's probe pass finishes, then share its
-// core — this is the join-level request coalescing the r2td answer cache
-// cannot provide (its key includes the aggregate and the DP parameters).
+// Each signature has one version-checked slot; a slot whose versions moved
+// is dropped as an invalidation. Lookups for a (signature, versions) pair
+// whose core is being built single-flight: followers block until the
+// leader's probe pass finishes, then share its core — the join-level
+// coalescing the r2td answer cache cannot provide (its key includes the
+// aggregate and the DP parameters).
 //
 // Privacy: a core is pre-noise, pre-truncation join output and NEVER leaves
 // the engine; each release built from it still pays its own ε through the
 // unchanged truncation/LP/noise pipeline (DESIGN.md §12).
 type CoreCache struct {
-	mu       sync.Mutex
-	cap      int
-	entries  map[string]*list.Element // signature → *coreSlot (one per signature)
-	lru      *list.List               // front = most recently used
-	inflight map[string]*coreFlight   // signature + NUL + version vector
-	stats    CoreCacheStats
+	mu    sync.Mutex
+	cores *cache.LRU[string, coreSlot] // signature → slot; flights keyed by signature + NUL + versions
 }
 
 // coreSlot is one cached core tagged with the version vector it was built at.
 type coreSlot struct {
-	sig  string
 	vkey string
 	core *Core
-}
-
-// coreFlight is one in-progress probe pass other lookups can wait on.
-type coreFlight struct {
-	done chan struct{}
-	core *Core
-	err  error
 }
 
 // CoreCacheStats reports the cache's traffic. Hits counts probe passes
 // skipped by a cached core, Coalesced probe passes skipped by joining an
 // in-flight build, Misses probe passes actually run; Evictions counts
-// capacity-driven drops and Stale version-mismatch drops.
-type CoreCacheStats struct {
-	Hits      uint64 `json:"hits"`
-	Misses    uint64 `json:"misses"`
-	Coalesced uint64 `json:"coalesced"`
-	Evictions uint64 `json:"evictions"`
-	Stale     uint64 `json:"stale"`
-	Entries   int    `json:"entries"`
-}
+// capacity-driven drops and Invalidations version-mismatch (stale) drops.
+type CoreCacheStats = cache.Stats
 
 // NewCoreCache returns a cache bounded to at most cap cores (cap < 1 is
 // clamped to 1 — a CoreCache exists to share, and the nil cache is the way
 // to disable sharing).
 func NewCoreCache(cap int) *CoreCache {
-	if cap < 1 {
-		cap = 1
-	}
-	return &CoreCache{
-		cap:      cap,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*coreFlight),
-	}
+	return &CoreCache{cores: cache.NewLRU[string, coreSlot](cap)}
 }
 
 // Stats returns a snapshot of the cache's traffic counters.
@@ -88,9 +63,7 @@ func (cc *CoreCache) Stats() CoreCacheStats {
 	}
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	s := cc.stats
-	s.Entries = len(cc.entries)
-	return s
+	return cc.cores.Stats()
 }
 
 // versionKey reads the current version of every atom's table, in atom order.
@@ -125,6 +98,8 @@ func coreVersionKey(c *Core) string {
 // of the same (signature, versions) is joined; otherwise the calling
 // goroutine runs the probe pass and publishes the result. The second return
 // value reports whether the probe pass was skipped (cache hit or coalesced).
+// A leader's failure (no table, bad filter) would have hit its followers
+// identically, so they share it rather than retry.
 //
 // The returned core is always one a fresh RunCore could have produced: a
 // follower may observe a core built at versions newer than its own reads
@@ -136,76 +111,24 @@ func (cc *CoreCache) Get(ctx context.Context, p *plan.Plan, inst *storage.Instan
 	if err != nil {
 		return nil, false, err
 	}
-	fkey := sig + "\x00" + vkey
-
 	cc.mu.Lock()
-	if e, ok := cc.entries[sig]; ok {
-		slot := e.Value.(*coreSlot)
-		if slot.vkey == vkey {
-			cc.stats.Hits++
-			cc.lru.MoveToFront(e)
-			cc.mu.Unlock()
-			return slot.core, true, nil
-		}
-		// Stale: an Append moved some table past the cached core.
-		cc.stats.Stale++
-		cc.lru.Remove(e)
-		delete(cc.entries, sig)
-	}
-	if fl, ok := cc.inflight[fkey]; ok {
-		cc.stats.Coalesced++
+	if slot, ok := cc.cores.GetFresh(sig, func(s coreSlot) bool { return s.vkey == vkey }); ok {
 		cc.mu.Unlock()
-		select {
-		case <-fl.done:
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
-		}
-		if fl.err != nil {
-			// The leader's failure (no table, bad filter) would have hit
-			// this request identically; don't retry what cannot succeed
-			// differently at these versions.
-			return nil, false, fl.err
-		}
-		return fl.core, true, nil
+		return slot.core, true, nil
 	}
-
-	// Leader: run the probe pass outside the lock.
-	cc.stats.Misses++
-	fl := &coreFlight{done: make(chan struct{})}
-	cc.inflight[fkey] = fl
-	cc.mu.Unlock()
-
-	core, err := runCore(p, inst, runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder})
-	if err == nil {
+	slot, shared, err := cc.cores.Do(ctx, &cc.mu, sig+"\x00"+vkey, func() (coreSlot, error) {
+		core, err := runCore(p, inst, runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder})
+		if err != nil {
+			return coreSlot{}, err
+		}
 		core.sig = sig
+		// Tagged with the versions the core was ACTUALLY built at (an Append
+		// may have landed between the vkey read and the snapshots); a lookup
+		// at those versions may serve it.
+		return coreSlot{vkey: coreVersionKey(core), core: core}, nil
+	}, func(s coreSlot) { cc.cores.Put(sig, s) })
+	if err != nil {
+		return nil, false, err
 	}
-	fl.core, fl.err = core, err
-
-	cc.mu.Lock()
-	delete(cc.inflight, fkey)
-	if err == nil {
-		// Store under the versions the core was ACTUALLY built at (an
-		// Append may have landed between the vkey read and the
-		// snapshots); a lookup at those versions may serve it.
-		cc.store(sig, coreVersionKey(core), core)
-	}
-	cc.mu.Unlock()
-	close(fl.done)
-	return core, false, err
-}
-
-// store inserts (or replaces) the slot for sig and evicts over cap; callers
-// hold cc.mu.
-func (cc *CoreCache) store(sig, vkey string, core *Core) {
-	if e, ok := cc.entries[sig]; ok {
-		cc.lru.Remove(e)
-		delete(cc.entries, sig)
-	}
-	cc.entries[sig] = cc.lru.PushFront(&coreSlot{sig: sig, vkey: vkey, core: core})
-	for cc.lru.Len() > cc.cap {
-		back := cc.lru.Back()
-		cc.lru.Remove(back)
-		delete(cc.entries, back.Value.(*coreSlot).sig)
-		cc.stats.Evictions++
-	}
+	return slot.core, shared, nil
 }

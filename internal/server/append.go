@@ -97,7 +97,13 @@ func (s *Server) handleAppend(w http.ResponseWriter, r *http.Request) {
 	// Idempotency (AppendIDHeader): resolve the id before touching the WAL.
 	var finish func(appendResponse, bool)
 	if id := r.Header.Get(AppendIDHeader); id != "" {
-		stored, outcome, fin := s.dedup.claim(dedupKey(req.Dataset, req.Relation, id), hashAppendBody(req.Rows))
+		stored, outcome, fin, err := s.dedup.claim(r.Context(), dedupKey(req.Dataset, req.Relation, id), hashAppendBody(req.Rows))
+		if err != nil {
+			// The client gave up while an earlier attempt with this id was
+			// still being applied; that attempt's outcome stands either way.
+			s.failAppend(w, ds.Name, start, http.StatusGatewayTimeout, err)
+			return
+		}
 		switch outcome {
 		case dedupReplay:
 			s.metrics.appendDeduped()
@@ -222,6 +228,8 @@ func (s *Server) failAppend(w http.ResponseWriter, dataset string, start time.Ti
 	switch code {
 	case http.StatusNotFound:
 		status = statusNotFound
+	case http.StatusGatewayTimeout:
+		status = statusTimeout
 	case http.StatusConflict:
 		status = statusReadOnly
 	case http.StatusServiceUnavailable:

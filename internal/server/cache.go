@@ -1,15 +1,14 @@
 package server
 
 import (
-	"container/list"
-	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"math"
 	"sort"
-	"sync"
 	"time"
+
+	"r2t/internal/cache"
 )
 
 // fingerprint canonically identifies one DP release: the dataset, the
@@ -65,166 +64,28 @@ type cachedAnswer struct {
 	At        time.Time // first release time
 }
 
-// flight tracks one in-progress release so concurrent identical requests
-// coalesce: followers wait for the leader's answer instead of each charging
-// ε for their own mechanism run.
-type flight struct {
-	done chan struct{} // closed once ans/err are set
-	ans  cachedAnswer
-	err  error
-}
+// answerCacheCap bounds the free-replay cache. At ~100 bytes per recorded
+// release it is a few MiB — big enough that eviction is rare, small enough
+// that a hostile query stream cannot grow the process without bound.
+const answerCacheCap = 65536
 
-// DefaultAnswerCacheMax bounds the free-replay cache when Config leaves
-// AnswerCacheMax at zero. At ~100 bytes per recorded release the default is
-// a few MiB — big enough that eviction is rare, small enough that a hostile
-// query stream cannot grow the process without bound.
-const DefaultAnswerCacheMax = 65536
-
-// cacheSlot is one LRU element: the fingerprint plus the recorded release.
-type cacheSlot struct {
-	key string
-	ans cachedAnswer
-}
-
-// answerCache is the free-replay cache, bounded by an entry cap (LRU) and an
-// optional TTL. Eviction is safe but never free: dropping an entry makes the
-// next identical query re-run the mechanism and charge ε again — correct
-// (each release pays for itself; the ledger, not the cache, is the source of
-// truth for spend) but wasteful, which is why the counter behind
+// answerCache is the free-replay cache: fingerprint → recorded release,
+// LRU-bounded at answerCacheCap. Do is the leader/follower path — one
+// caller at a time runs the leader closure (which charges the budget and runs
+// the mechanism), everyone racing with it waits and replays its release at
+// zero additional ε, and a failed run is not cached, its followers share the
+// error and the next request leads afresh. Get is the replica read path (a
+// replica replays a recorded release or redirects, it never leads a run) and
+// Put records a release produced and charged on the primary.
+//
+// Eviction is safe but never free: dropping an entry makes the next
+// identical query re-run the mechanism and charge ε again — correct (each
+// release pays for itself; the ledger, not the cache, is the source of truth
+// for spend) but wasteful, which is why the counter behind
 // r2td_answer_cache_evictions_total exists: a climbing rate means replays
 // that could have been free are burning budget. The cache only ever holds
 // released (already public) estimates, so neither keeping nor dropping an
 // entry has any privacy effect; it is rebuilt empty on restart.
-type answerCache struct {
-	mu       sync.Mutex
-	max      int           // entry cap (>0; constructor applies the default)
-	ttl      time.Duration // 0 = entries never expire
-	answers  map[string]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[string]*flight
-	evicted  uint64 // capacity evictions + TTL expiries
-}
+type answerCache = cache.Cache[string, cachedAnswer]
 
-// newAnswerCache builds the cache. max <= 0 selects DefaultAnswerCacheMax;
-// ttl <= 0 disables expiry.
-func newAnswerCache(max int, ttl time.Duration) *answerCache {
-	if max <= 0 {
-		max = DefaultAnswerCacheMax
-	}
-	if ttl < 0 {
-		ttl = 0
-	}
-	return &answerCache{
-		max:      max,
-		ttl:      ttl,
-		answers:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*flight),
-	}
-}
-
-// lookupLocked returns the recorded release for key if present and fresh,
-// expiring it (counted as an eviction) if the TTL has passed.
-func (c *answerCache) lookupLocked(key string) (cachedAnswer, bool) {
-	e, ok := c.answers[key]
-	if !ok {
-		return cachedAnswer{}, false
-	}
-	slot := e.Value.(*cacheSlot)
-	if c.ttl > 0 && time.Since(slot.ans.At) > c.ttl {
-		c.lru.Remove(e)
-		delete(c.answers, key)
-		c.evicted++
-		return cachedAnswer{}, false
-	}
-	c.lru.MoveToFront(e)
-	return slot.ans, true
-}
-
-// storeLocked records a release and evicts least-recently-used entries past
-// the cap.
-func (c *answerCache) storeLocked(key string, ans cachedAnswer) {
-	if e, ok := c.answers[key]; ok {
-		e.Value.(*cacheSlot).ans = ans
-		c.lru.MoveToFront(e)
-		return
-	}
-	c.answers[key] = c.lru.PushFront(&cacheSlot{key: key, ans: ans})
-	for c.lru.Len() > c.max {
-		back := c.lru.Back()
-		c.lru.Remove(back)
-		delete(c.answers, back.Value.(*cacheSlot).key)
-		c.evicted++
-	}
-}
-
-// do returns the recorded release for key, or arranges for exactly one
-// caller at a time to produce it: the leader runs fn (which charges the
-// budget and runs the mechanism) and everyone racing with it waits and
-// replays the leader's release at zero additional ε. cached reports whether
-// this caller's answer came from a replay (map hit or coalesced follow)
-// rather than its own mechanism run. A failed fn is not cached; its
-// followers receive the same error, and the next request leads afresh.
-func (c *answerCache) do(ctx context.Context, key string, fn func() (cachedAnswer, error)) (ans cachedAnswer, cached bool, err error) {
-	c.mu.Lock()
-	if a, ok := c.lookupLocked(key); ok {
-		c.mu.Unlock()
-		return a, true, nil
-	}
-	if fl, ok := c.inflight[key]; ok {
-		c.mu.Unlock()
-		select {
-		case <-fl.done:
-			return fl.ans, true, fl.err
-		case <-ctx.Done():
-			return cachedAnswer{}, false, ctx.Err()
-		}
-	}
-	fl := &flight{done: make(chan struct{})}
-	c.inflight[key] = fl
-	c.mu.Unlock()
-
-	ans, err = fn()
-	fl.ans, fl.err = ans, err
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if err == nil {
-		c.storeLocked(key, ans)
-	}
-	c.mu.Unlock()
-	close(fl.done)
-	return ans, false, err
-}
-
-// peek returns the recorded release for key without joining or creating an
-// in-flight run — the replica read path: a replica either replays a recorded
-// release for free or redirects, it never leads a mechanism run of its own.
-func (c *answerCache) peek(key string) (cachedAnswer, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lookupLocked(key)
-}
-
-// storeReplicated records a release that was produced (and charged) on the
-// primary. Replays of it here are post-processing of an already-published
-// ε-DP output, exactly like locally recorded releases.
-func (c *answerCache) storeReplicated(key string, ans cachedAnswer) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.storeLocked(key, ans)
-}
-
-// size returns the number of recorded releases.
-func (c *answerCache) size() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.answers)
-}
-
-// evictions returns the number of releases dropped (capacity or TTL) since
-// startup. Each one means a potential free replay will re-charge ε.
-func (c *answerCache) evictions() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evicted
-}
+func newAnswerCache() *answerCache { return cache.New[string, cachedAnswer](answerCacheCap) }

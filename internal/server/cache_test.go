@@ -6,7 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
+
+	"r2t/internal/cache"
 )
 
 func TestFingerprint(t *testing.T) {
@@ -55,7 +56,7 @@ func TestFingerprint(t *testing.T) {
 }
 
 func TestCacheCoalescing(t *testing.T) {
-	c := newAnswerCache(0, 0)
+	c := newAnswerCache()
 	var runs int32
 	release := make(chan struct{})
 	const clients = 32
@@ -66,7 +67,7 @@ func TestCacheCoalescing(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			ans, cached, err := c.do(context.Background(), "k", func() (cachedAnswer, error) {
+			ans, cached, err := c.Do(context.Background(), "k", func() (cachedAnswer, error) {
 				atomic.AddInt32(&runs, 1)
 				<-release // hold every concurrent caller in the coalescing window
 				return cachedAnswer{Estimate: 42, Epsilon: 0.5}, nil
@@ -92,27 +93,27 @@ func TestCacheCoalescing(t *testing.T) {
 		t.Fatalf("%d callers claim the fresh release", got)
 	}
 	// Later callers hit the recorded release.
-	if _, cached, _ := c.do(context.Background(), "k", nil); !cached {
+	if _, cached, _ := c.Do(context.Background(), "k", nil); !cached {
 		t.Fatal("recorded release missed")
 	}
-	if c.size() != 1 {
-		t.Fatalf("cache size %d", c.size())
+	if c.Stats().Entries != 1 {
+		t.Fatalf("cache size %d", c.Stats().Entries)
 	}
 }
 
 func TestCacheLeaderFailureNotCached(t *testing.T) {
-	c := newAnswerCache(0, 0)
+	c := newAnswerCache()
 	boom := errors.New("boom")
-	if _, _, err := c.do(context.Background(), "k", func() (cachedAnswer, error) {
+	if _, _, err := c.Do(context.Background(), "k", func() (cachedAnswer, error) {
 		return cachedAnswer{}, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v", err)
 	}
-	if c.size() != 0 {
+	if c.Stats().Entries != 0 {
 		t.Fatal("failed release was cached")
 	}
 	// The next caller leads afresh and can succeed.
-	ans, cached, err := c.do(context.Background(), "k", func() (cachedAnswer, error) {
+	ans, cached, err := c.Do(context.Background(), "k", func() (cachedAnswer, error) {
 		return cachedAnswer{Estimate: 7}, nil
 	})
 	if err != nil || cached || ans.Estimate != 7 {
@@ -123,7 +124,7 @@ func TestCacheLeaderFailureNotCached(t *testing.T) {
 // put records one release synchronously.
 func put(t *testing.T, c *answerCache, key string, ans cachedAnswer) {
 	t.Helper()
-	if _, _, err := c.do(context.Background(), key, func() (cachedAnswer, error) {
+	if _, _, err := c.Do(context.Background(), key, func() (cachedAnswer, error) {
 		return ans, nil
 	}); err != nil {
 		t.Fatal(err)
@@ -131,26 +132,26 @@ func put(t *testing.T, c *answerCache, key string, ans cachedAnswer) {
 }
 
 func TestAnswerCacheEviction(t *testing.T) {
-	c := newAnswerCache(2, 0)
+	c := cache.New[string, cachedAnswer](2)
 	put(t, c, "a", cachedAnswer{Estimate: 1})
 	put(t, c, "b", cachedAnswer{Estimate: 2})
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if _, cached, _ := c.do(context.Background(), "a", nil); !cached {
+	if _, cached, _ := c.Do(context.Background(), "a", nil); !cached {
 		t.Fatal("a missed before eviction")
 	}
 	put(t, c, "c", cachedAnswer{Estimate: 3})
-	if c.size() != 2 {
-		t.Fatalf("size = %d, want 2", c.size())
+	if c.Stats().Entries != 2 {
+		t.Fatalf("size = %d, want 2", c.Stats().Entries)
 	}
-	if got := c.evictions(); got != 1 {
+	if got := c.Stats().Evictions; got != 1 {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
-	if _, cached, _ := c.do(context.Background(), "a", nil); !cached {
+	if _, cached, _ := c.Do(context.Background(), "a", nil); !cached {
 		t.Fatal("recently used entry was evicted")
 	}
 	// The evicted key re-runs the mechanism (and would re-charge ε).
 	reran := false
-	if _, cached, err := c.do(context.Background(), "b", func() (cachedAnswer, error) {
+	if _, cached, err := c.Do(context.Background(), "b", func() (cachedAnswer, error) {
 		reran = true
 		return cachedAnswer{Estimate: 2}, nil
 	}); err != nil || cached || !reran {
@@ -158,34 +159,12 @@ func TestAnswerCacheEviction(t *testing.T) {
 	}
 }
 
-func TestAnswerCacheTTL(t *testing.T) {
-	c := newAnswerCache(0, time.Minute)
-	put(t, c, "old", cachedAnswer{Estimate: 1, At: time.Now().Add(-time.Hour)})
-	put(t, c, "new", cachedAnswer{Estimate: 2, At: time.Now()})
-	if _, cached, _ := c.do(context.Background(), "new", nil); !cached {
-		t.Fatal("fresh entry expired")
-	}
-	reran := false
-	if _, cached, err := c.do(context.Background(), "old", func() (cachedAnswer, error) {
-		reran = true
-		return cachedAnswer{Estimate: 1, At: time.Now()}, nil
-	}); err != nil || cached || !reran {
-		t.Fatalf("expired key: cached=%v reran=%v err=%v", cached, reran, err)
-	}
-	if got := c.evictions(); got != 1 {
-		t.Fatalf("evictions = %d, want 1", got)
-	}
-	if c.size() != 2 {
-		t.Fatalf("size = %d, want 2 (old re-recorded)", c.size())
-	}
-}
-
 func TestCacheFollowerContextCancel(t *testing.T) {
-	c := newAnswerCache(0, 0)
+	c := newAnswerCache()
 	started := make(chan struct{})
 	release := make(chan struct{})
 	go func() {
-		c.do(context.Background(), "k", func() (cachedAnswer, error) {
+		c.Do(context.Background(), "k", func() (cachedAnswer, error) {
 			close(started)
 			<-release
 			return cachedAnswer{Estimate: 1}, nil
@@ -194,7 +173,7 @@ func TestCacheFollowerContextCancel(t *testing.T) {
 	<-started
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := c.do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
+	if _, _, err := c.Do(ctx, "k", nil); !errors.Is(err, context.Canceled) {
 		t.Fatalf("follower err = %v", err)
 	}
 	close(release)

@@ -1,16 +1,17 @@
 package server
 
 import (
-	"container/list"
+	"context"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"sync"
+
+	"r2t/internal/cache"
 )
 
-// DefaultAppendDedupMax bounds the idempotency window when Config leaves
-// AppendDedupMax at zero.
-const DefaultAppendDedupMax = 4096
+// appendDedupCap bounds the idempotency window.
+const appendDedupCap = 4096
 
 // dedupOutcome is claim's verdict for one keyed append attempt.
 type dedupOutcome int
@@ -28,110 +29,67 @@ const (
 // a different body is a caller bug and conflicts. Only successes are
 // remembered — a failed append leaves the id unconsumed so the caller's retry
 // can lead again. Concurrent retries of one id single-flight behind the
-// leader.
+// leader, each for as long as its own request context allows.
 //
 // The window is bounded (LRU), so idempotency is best-effort over the most
 // recent ids: an id evicted before its retry arrives will be applied again.
 // That trades exactness for bounded memory, which is the right trade for an
 // at-least-once ingestion stream into an append-only store.
 type appendDedup struct {
-	mu       sync.Mutex
-	max      int
-	entries  map[string]*list.Element
-	lru      *list.List // front = most recently used
-	inflight map[string]*dedupFlight
+	mu  sync.Mutex
+	ids *cache.LRU[string, dedupSlot] // a flight's claim carries the leader's body hash
 }
 
-// dedupSlot is one remembered success.
+// dedupSlot is one remembered success (or, as a flight's claim, one attempt).
 type dedupSlot struct {
-	key      string
 	bodyHash string
 	resp     appendResponse
 }
 
-// dedupFlight tracks one in-progress keyed append.
-type dedupFlight struct {
-	done     chan struct{}
-	bodyHash string
-}
-
-func newAppendDedup(max int) *appendDedup {
-	if max <= 0 {
-		max = DefaultAppendDedupMax
-	}
-	return &appendDedup{
-		max:      max,
-		entries:  make(map[string]*list.Element),
-		lru:      list.New(),
-		inflight: make(map[string]*dedupFlight),
-	}
+func newAppendDedup() *appendDedup {
+	return &appendDedup{ids: cache.NewLRU[string, dedupSlot](appendDedupCap)}
 }
 
 // claim resolves one keyed attempt. For dedupLead the caller MUST invoke the
 // returned finish exactly once: finish(resp, true) after a durable success
 // (remembers it), finish(anything, false) on failure (forgets the id).
-// Followers racing a leader wait for it and then re-resolve against what it
-// left behind.
-func (d *appendDedup) claim(key, bodyHash string) (resp appendResponse, outcome dedupOutcome, finish func(appendResponse, bool)) {
+// Followers racing a leader wait for it — until ctx ends, which returns
+// ctx's error — and then re-resolve against what it left behind.
+func (d *appendDedup) claim(ctx context.Context, key, bodyHash string) (resp appendResponse, outcome dedupOutcome, finish func(appendResponse, bool), err error) {
 	for {
 		d.mu.Lock()
-		if e, ok := d.entries[key]; ok {
-			slot := e.Value.(*dedupSlot)
-			d.lru.MoveToFront(e)
+		if slot, ok := d.ids.Get(key); ok {
 			d.mu.Unlock()
 			if slot.bodyHash != bodyHash {
-				return appendResponse{}, dedupConflict, nil
+				return appendResponse{}, dedupConflict, nil, nil
 			}
-			return slot.resp, dedupReplay, nil
+			return slot.resp, dedupReplay, nil, nil
 		}
-		if fl, ok := d.inflight[key]; ok {
+		if fl := d.ids.Join(key); fl != nil {
 			// A leader is applying this id right now. A different body can
 			// conflict immediately — whatever the leader's outcome, this
 			// request's body disagrees with a concurrent same-id request.
-			if fl.bodyHash != bodyHash {
-				d.mu.Unlock()
-				return appendResponse{}, dedupConflict, nil
-			}
+			leaderHash := fl.Claim().bodyHash
 			d.mu.Unlock()
-			<-fl.done
+			if leaderHash != bodyHash {
+				return appendResponse{}, dedupConflict, nil, nil
+			}
+			if _, err := fl.Wait(ctx); err != nil {
+				return appendResponse{}, 0, nil, err // leaders land without error: this is ctx's
+			}
 			continue // re-resolve: replay the leader's success, or lead afresh
 		}
-		fl := &dedupFlight{done: make(chan struct{}), bodyHash: bodyHash}
-		d.inflight[key] = fl
+		fl := d.ids.Lead(key, dedupSlot{bodyHash: bodyHash})
 		d.mu.Unlock()
 		return appendResponse{}, dedupLead, func(r appendResponse, ok bool) {
 			d.mu.Lock()
-			delete(d.inflight, key)
+			defer d.mu.Unlock()
 			if ok {
-				d.storeLocked(key, bodyHash, r)
+				d.ids.Put(key, dedupSlot{bodyHash: bodyHash, resp: r})
 			}
-			d.mu.Unlock()
-			close(fl.done)
-		}
+			d.ids.Land(key, fl, dedupSlot{}, nil)
+		}, nil
 	}
-}
-
-// storeLocked remembers a success and evicts past the cap. Caller holds d.mu.
-func (d *appendDedup) storeLocked(key, bodyHash string, resp appendResponse) {
-	if e, ok := d.entries[key]; ok {
-		slot := e.Value.(*dedupSlot)
-		slot.bodyHash, slot.resp = bodyHash, resp
-		d.lru.MoveToFront(e)
-		return
-	}
-	d.entries[key] = d.lru.PushFront(&dedupSlot{key: key, bodyHash: bodyHash, resp: resp})
-	for d.lru.Len() > d.max {
-		back := d.lru.Back()
-		d.lru.Remove(back)
-		delete(d.entries, back.Value.(*dedupSlot).key)
-	}
-}
-
-// size returns the number of remembered ids.
-func (d *appendDedup) size() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return len(d.entries)
 }
 
 // dedupKey builds the idempotency key: ids are scoped per (dataset, relation)

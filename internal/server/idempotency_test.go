@@ -1,8 +1,9 @@
 package server
 
 import (
+	"context"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -40,12 +41,11 @@ func (c *testClient) appendWithID(id, body string) (int, appendResponse, errorRe
 
 // TestAppendIdempotency covers the X-R2T-Append-Id satellite: a replayed id
 // returns the stored response without re-applying rows, a reused id with
-// different rows is a conflict, a failed attempt releases its id for retry,
-// and the dedup window is LRU-bounded.
+// different rows is a conflict, and a failed attempt releases its id for
+// retry. (The window's LRU bound is the cache package's TestLRUOrderAndEviction.)
 func TestAppendIdempotency(t *testing.T) {
 	base := t.TempDir()
 	cfg := durableGraphConfig(t, filepath.Join(base, "l.ledger"), filepath.Join(base, "wal"))
-	cfg.AppendDedupMax = 2 // tiny window to exercise eviction below
 	srv, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -100,25 +100,6 @@ func TestAppendIdempotency(t *testing.T) {
 		t.Fatalf("retry after failure: code %d deduped %v, want a fresh 200", code, r3.Deduped)
 	}
 
-	// LRU bound: with AppendDedupMax=2, a third id evicts the oldest.
-	for i := 3; i <= 4; i++ {
-		id := fmt.Sprintf("batch-%d", i)
-		rows := fmt.Sprintf(`{"dataset":"graph","relation":"Edge","rows":[["%d","%d"]]}`, i, i+1)
-		if code, _, fe := c.appendWithID(id, rows); code != http.StatusOK {
-			t.Fatalf("append %s: code %d (%s)", id, code, fe.Error)
-		}
-	}
-	if n := srv.dedup.size(); n > 2 {
-		t.Fatalf("dedup window holds %d entries, want <= 2", n)
-	}
-	// batch-1 was evicted: replaying it now leads again (and double-applies —
-	// the documented bound of the window; clients size it to their retry
-	// horizon).
-	code, r4, _ := c.appendWithID("batch-1", body)
-	if code != http.StatusOK || r4.Deduped {
-		t.Fatalf("evicted id replay: code %d deduped %v, want fresh lead", code, r4.Deduped)
-	}
-
 	// The dedup hit is visible to operators.
 	_, metrics := c.get("/metrics")
 	if !strings.Contains(metrics, "r2td_append_dedup_hits_total 1") {
@@ -126,9 +107,17 @@ func TestAppendIdempotency(t *testing.T) {
 	}
 }
 
+// dedupSize returns the number of remembered ids.
+func dedupSize(d *appendDedup) int {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.ids.Stats().Entries
+}
+
 // TestAppendDedupUnit pins the claim/finish state machine directly.
 func TestAppendDedupUnit(t *testing.T) {
-	d := newAppendDedup(4)
+	d := newAppendDedup()
+	ctx := context.Background()
 	h1 := hashAppendBody([][]string{{"a", "b"}})
 	h2 := hashAppendBody([][]string{{"a"}, {"b"}}) // same bytes, different shape
 	if h1 == h2 {
@@ -136,47 +125,58 @@ func TestAppendDedupUnit(t *testing.T) {
 	}
 
 	// Lead → failure releases the id.
-	_, outcome, fin := d.claim("k", h1)
+	_, outcome, fin, _ := d.claim(ctx, "k", h1)
 	if outcome != dedupLead {
 		t.Fatalf("first claim: %v, want lead", outcome)
 	}
 	fin(appendResponse{}, false)
-	if d.size() != 0 {
-		t.Fatalf("failed flight left %d entries", d.size())
+	if n := dedupSize(d); n != 0 {
+		t.Fatalf("failed flight left %d entries", n)
 	}
 
 	// Lead → success stores; replay and conflict resolve against the store.
-	_, outcome, fin = d.claim("k", h1)
+	_, outcome, fin, _ = d.claim(ctx, "k", h1)
 	if outcome != dedupLead {
 		t.Fatalf("reclaim after failure: %v, want lead", outcome)
 	}
 	fin(appendResponse{Appended: 7}, true)
-	stored, outcome, _ := d.claim("k", h1)
+	stored, outcome, _, _ := d.claim(ctx, "k", h1)
 	if outcome != dedupReplay || stored.Appended != 7 {
 		t.Fatalf("replay: %v %+v", outcome, stored)
 	}
-	if _, outcome, _ = d.claim("k", h2); outcome != dedupConflict {
+	if _, outcome, _, _ = d.claim(ctx, "k", h2); outcome != dedupConflict {
 		t.Fatalf("hash mismatch: %v, want conflict", outcome)
 	}
 
 	// Concurrent claim of an in-flight id with the same hash waits for the
 	// leader and replays its stored response.
-	_, outcome, fin = d.claim("wait", h1)
+	_, outcome, fin, _ = d.claim(ctx, "wait", h1)
 	if outcome != dedupLead {
 		t.Fatalf("inflight lead: %v", outcome)
 	}
 	done := make(chan dedupOutcome, 1)
 	go func() {
-		_, o, _ := d.claim("wait", h1)
+		_, o, _, _ := d.claim(ctx, "wait", h1)
 		done <- o
 	}()
 	// A different-hash claim against the in-flight id conflicts immediately,
 	// without waiting for the leader.
-	if _, o, _ := d.claim("wait", h2); o != dedupConflict {
+	if _, o, _, _ := d.claim(ctx, "wait", h2); o != dedupConflict {
 		t.Fatalf("inflight hash mismatch: %v, want conflict", o)
+	}
+	// A follower whose client has gone returns its context's error while the
+	// leader still holds the id, instead of waiting out the leader's fsync.
+	cancelled, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, _, err := d.claim(cancelled, "wait", h1); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled follower: err %v, want context.Canceled", err)
 	}
 	fin(appendResponse{Appended: 1}, true)
 	if o := <-done; o != dedupReplay {
 		t.Fatalf("waiter outcome: %v, want replay", o)
+	}
+	// The leader's success still replays to the next retry.
+	if r, o, _, err := d.claim(ctx, "wait", h1); err != nil || o != dedupReplay || r.Appended != 1 {
+		t.Fatalf("retry after cancelled follower: %v %+v %v, want replay of 1", o, r, err)
 	}
 }

@@ -288,9 +288,10 @@ func (m *metrics) writeTo(w io.Writer, reg *Registry, cache *answerCache, ledger
 	}
 
 	fmt.Fprintf(w, "# HELP r2td_cache_answers Recorded releases in the free-replay cache.\n# TYPE r2td_cache_answers gauge\n")
-	fmt.Fprintf(w, "r2td_cache_answers %d\n", cache.size())
-	fmt.Fprintf(w, "# HELP r2td_answer_cache_evictions_total Recorded releases dropped from the free-replay cache (LRU capacity or TTL expiry); each drop means a future identical query re-runs the mechanism and charges ε again.\n# TYPE r2td_answer_cache_evictions_total counter\n")
-	fmt.Fprintf(w, "r2td_answer_cache_evictions_total %d\n", cache.evictions())
+	ast := cache.Stats()
+	fmt.Fprintf(w, "r2td_cache_answers %d\n", ast.Entries)
+	fmt.Fprintf(w, "# HELP r2td_answer_cache_evictions_total Recorded releases dropped from the free-replay cache (LRU capacity); each drop means a future identical query re-runs the mechanism and charges ε again.\n# TYPE r2td_answer_cache_evictions_total counter\n")
+	fmt.Fprintf(w, "r2td_answer_cache_evictions_total %d\n", ast.Evictions)
 	fmt.Fprintf(w, "# HELP r2td_cache_hit_ratio Fraction of answered queries served by free replay.\n# TYPE r2td_cache_hit_ratio gauge\n")
 	for _, name := range reg.Names() {
 		if answered := hits[name] + releases[name]; answered > 0 {
@@ -316,7 +317,7 @@ func (m *metrics) writeTo(w io.Writer, reg *Registry, cache *answerCache, ledger
 		fmt.Fprintf(w, "r2td_join_core_cache_misses_total{dataset=\"%s\"} %d\n", esc, st.Misses)
 		fmt.Fprintf(w, "r2td_join_core_cache_coalesced_total{dataset=\"%s\"} %d\n", esc, st.Coalesced)
 		fmt.Fprintf(w, "r2td_join_core_cache_evictions_total{dataset=\"%s\"} %d\n", esc, st.Evictions)
-		fmt.Fprintf(w, "r2td_join_core_cache_stale_total{dataset=\"%s\"} %d\n", esc, st.Stale)
+		fmt.Fprintf(w, "r2td_join_core_cache_stale_total{dataset=\"%s\"} %d\n", esc, st.Invalidations)
 		fmt.Fprintf(w, "r2td_join_core_cache_entries{dataset=\"%s\"} %d\n", esc, st.Entries)
 	}
 
@@ -330,7 +331,9 @@ func (m *metrics) writeTo(w io.Writer, reg *Registry, cache *answerCache, ledger
 	for _, name := range reg.Names() {
 		st := reg.Get(name).DB.Instance().JoinCacheStats()
 		esc := escapeLabel(name)
-		fmt.Fprintf(w, "r2td_index_cache_hits_total{dataset=\"%s\"} %d\n", esc, st.Hits)
+		// A lookup that waited on another query's build was served by the
+		// cache, not by a build of its own.
+		fmt.Fprintf(w, "r2td_index_cache_hits_total{dataset=\"%s\"} %d\n", esc, st.Hits+st.Coalesced)
 		fmt.Fprintf(w, "r2td_index_cache_misses_total{dataset=\"%s\"} %d\n", esc, st.Misses)
 		fmt.Fprintf(w, "r2td_index_cache_evictions_total{dataset=\"%s\"} %d\n", esc, st.Evictions)
 		fmt.Fprintf(w, "r2td_index_cache_invalidations_total{dataset=\"%s\"} %d\n", esc, st.Invalidations)

@@ -32,7 +32,7 @@ func TestMetricsLabelEscaping(t *testing.T) {
 	reg := &Registry{datasets: map[string]*Dataset{}}
 
 	var b strings.Builder
-	m.writeTo(&b, reg, newAnswerCache(0, 0), nil, nil)
+	m.writeTo(&b, reg, newAnswerCache(), nil, nil)
 	body := b.String()
 
 	for _, want := range []string{

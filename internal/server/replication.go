@@ -612,7 +612,7 @@ func (a *replicaApplier) ApplyAnswer(epoch uint64, payload []byte) error {
 	if rec.Key == "" {
 		return errors.New("replicated answer without a key")
 	}
-	a.s.cache.storeReplicated(rec.Key, cachedAnswer{
+	a.s.cache.Put(rec.Key, cachedAnswer{
 		Estimate:  rec.Estimate,
 		Epsilon:   rec.Epsilon,
 		Query:     rec.Query,

@@ -64,20 +64,6 @@ type Config struct {
 	// Seed makes noise deterministic for tests and demos (0 = a fresh
 	// dp.NewCryptoSource per query). Never set it in production.
 	Seed int64
-	// AnswerCacheMax bounds the free-replay answer cache (default 65536
-	// entries, LRU-evicted). Eviction is ε-safe but not free: a re-asked
-	// evicted query re-runs the mechanism and charges again, surfaced by
-	// r2td_answer_cache_evictions_total.
-	AnswerCacheMax int
-	// AnswerCacheTTL expires recorded releases after this age (default 0 =
-	// never). Expiry has the same re-charge cost as LRU eviction.
-	AnswerCacheTTL time.Duration
-	// JoinShareCap sizes each dataset's join-core cache (cross-query join
-	// sharing, DESIGN.md §12): 0 keeps the engine default, a positive value
-	// sets the per-DB core cap, and a negative value disables sharing so
-	// every query runs its own probe pass. Sharing never changes a released
-	// answer; this knob trades memory for probe-pass work.
-	JoinShareCap int
 	// RequestLog, when non-nil, receives one JSON line per finished request:
 	// outcome, latency, and the per-stage timing breakdown of fresh mechanism
 	// runs. The log is OPERATOR-SIDE ONLY — stage timings are data-dependent
@@ -110,9 +96,6 @@ type Config struct {
 	// ReplAckTimeout bounds how long a synchronous charge waits for replica
 	// acknowledgements before failing 503 (default 5s).
 	ReplAckTimeout time.Duration
-	// AppendDedupMax bounds the X-R2T-Append-Id idempotency window (default
-	// 4096 ids, LRU-evicted).
-	AppendDedupMax int
 
 	// Sharding (DESIGN.md §16), meaningful with Role "router" only.
 	// ShardTimeout bounds one sub-query round trip to a shard (default 5s);
@@ -160,13 +143,6 @@ func New(cfg Config) (*Server, error) {
 		ledger.Close()
 		return nil, err
 	}
-	if cfg.JoinShareCap != 0 {
-		// Negative disables sharing entirely (SetJoinShareCap maps n <= 0 to
-		// "no cache"); applied at load time, before any query can run.
-		for _, name := range reg.Names() {
-			reg.Get(name).DB.SetJoinShareCap(cfg.JoinShareCap)
-		}
-	}
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -183,13 +159,13 @@ func New(cfg Config) (*Server, error) {
 		reg:         reg,
 		ledger:      ledger,
 		ledgerPath:  cfg.LedgerPath,
-		cache:       newAnswerCache(cfg.AnswerCacheMax, cfg.AnswerCacheTTL),
+		cache:       newAnswerCache(),
 		metrics:     newMetrics(),
 		sem:         make(chan struct{}, workers),
 		execWorkers: cfg.ExecWorkers,
 		timeout:     timeout,
 		maxBody:     maxBody,
-		dedup:       newAppendDedup(cfg.AppendDedupMax),
+		dedup:       newAppendDedup(),
 		reqLog:      cfg.RequestLog,
 	}
 	if cfg.Seed != 0 {
@@ -460,7 +436,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// ε, no charge authority needed) and redirect everything that would
 	// charge; a fenced primary refuses charges outright (DESIGN.md §14).
 	if s.repl.isReplica() {
-		if ans, ok := s.cache.peek(key); ok {
+		if ans, ok := s.cache.Get(key); ok {
 			s.respondQuery(w, ds, normalized, ans, true, start, nil)
 			return
 		}
@@ -490,13 +466,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// Captured by the leader closure: the stage profile of a fresh run, for
 	// the operator log. Coalesced followers and cache hits leave it nil.
 	var prof *r2t.Profile
-	ans, cached, err := s.cache.do(ctx, key, func() (ca cachedAnswer, err error) {
+	ans, cached, err := s.cache.Do(ctx, key, func() (ca cachedAnswer, err error) {
 		// Contain panics across the whole leader closure, not just the
-		// mechanism: a panicking leader would leave coalesced followers
-		// blocked on a flight that never resolves, and a panic between the
-		// budget charge and the release must surface as "charged but
-		// unanswered" (the safe side — see DESIGN.md §9), never as a hung
-		// connection or a torn charge.
+		// mechanism: a panic between the budget charge and the release must
+		// surface to the leader and its coalesced followers as "charged but
+		// unanswered" (the safe side — see DESIGN.md §9), never as a crashed
+		// process or a torn charge.
 		defer func() {
 			if p := recover(); p != nil {
 				s.metrics.panicRecovered()

@@ -485,21 +485,23 @@ func TestServerDeadline(t *testing.T) {
 // TestServerJoinShare drives three distinct releases (different aggregates
 // and ε, so three fingerprints and three fresh mechanism runs) over one join
 // structure: with sharing on they must run exactly one probe pass, with
-// sharing disabled via Config.JoinShareCap they must still release the
-// identical estimates — join sharing is invisible in every analyst-facing
-// byte, it only removes redundant executor work (DESIGN.md §12).
+// sharing disabled on the dataset's DB (SetJoinShareCap(0)) they must still
+// release the identical estimates — join sharing is invisible in every
+// analyst-facing byte, it only removes redundant executor work (DESIGN.md §12).
 func TestServerJoinShare(t *testing.T) {
 	queries := []string{
 		`{"dataset":"graph","sql":"SELECT COUNT(*) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src","epsilon":0.5,"gsq":64}`,
 		`{"dataset":"graph","sql":"SELECT SUM(e1.src) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src","epsilon":0.5,"gsq":64}`,
 		`{"dataset":"graph","sql":"SELECT COUNT(*) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src","epsilon":0.25,"gsq":64}`,
 	}
-	run := func(cap int) ([]float64, string) {
+	run := func(share bool) ([]float64, string) {
 		cfg := newGraphConfig(t, filepath.Join(t.TempDir(), "budget.ledger"), 10)
-		cfg.JoinShareCap = cap
 		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
+		}
+		if !share {
+			srv.reg.Get("graph").DB.SetJoinShareCap(0)
 		}
 		ts := httptest.NewServer(srv.Handler())
 		defer ts.Close()
@@ -520,8 +522,8 @@ func TestServerJoinShare(t *testing.T) {
 		return ests, metricsBody
 	}
 
-	shared, sharedMetrics := run(0)
-	unshared, unsharedMetrics := run(-1)
+	shared, sharedMetrics := run(true)
+	unshared, unsharedMetrics := run(false)
 	for i := range shared {
 		if shared[i] != unshared[i] {
 			t.Errorf("query %d: shared estimate %v differs from unshared %v", i, shared[i], unshared[i])

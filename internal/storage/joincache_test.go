@@ -2,7 +2,9 @@ package storage
 
 import (
 	"fmt"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"r2t/internal/schema"
 	"r2t/internal/value"
@@ -88,5 +90,72 @@ func TestInstanceJoinCacheStatsAggregate(t *testing.T) {
 	s := inst.JoinCacheStats()
 	if s.Hits != 1 || s.Misses != 2 || s.Entries != 2 {
 		t.Fatalf("aggregate stats = %+v, want 1 hit, 2 misses, 2 entries", s)
+	}
+}
+
+// TestJoinCacheBuildOutsideTableLock: while a cold index build runs, the
+// table's Snapshot, Version and Append still return; concurrent lookups of the
+// key wait for that one build; and the build, overtaken by the Append, is
+// returned but not cached.
+func TestJoinCacheBuildOutsideTableLock(t *testing.T) {
+	tbl := cacheTable(t)
+	_, ver := tbl.Snapshot()
+	started, release := make(chan struct{}), make(chan struct{})
+	var builds atomic.Int32
+	build := func() any {
+		if builds.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return "index"
+	}
+	const lookups = 4
+	results := make(chan any, lookups)
+	for i := 0; i < lookups; i++ {
+		go func() {
+			v, _ := tbl.JoinCacheAt("k", ver, build)
+			results <- v
+		}()
+	}
+	<-started
+	for deadline := time.Now().Add(10 * time.Second); tbl.JoinCacheStats().Coalesced < lookups-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("lookups did not join the build: %+v", tbl.JoinCacheStats())
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	free := make(chan error, 1)
+	go func() {
+		tbl.Snapshot()
+		tbl.Version()
+		free <- tbl.Append(Row{value.IntV(2)})
+	}()
+	select {
+	case err := <-free:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(release)
+		t.Fatal("Snapshot/Version/Append blocked behind an index build")
+	}
+
+	close(release)
+	for i := 0; i < lookups; i++ {
+		if v := <-results; v != "index" {
+			t.Fatalf("lookup %d got %v", i, v)
+		}
+	}
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d builds for one key, want 1", n)
+	}
+	for _, v := range []uint64{ver, tbl.Version()} {
+		if _, ok := tbl.JoinCacheGetAt("k", v); ok {
+			t.Fatalf("overtaken build cached (served at version %d)", v)
+		}
+	}
+	if s := tbl.JoinCacheStats(); s.Misses != 1 || s.Coalesced != lookups-1 || s.Entries != 0 {
+		t.Fatalf("stats %+v, want 1 miss, %d coalesced, 0 entries", s, lookups-1)
 	}
 }

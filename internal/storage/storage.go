@@ -5,10 +5,12 @@
 package storage
 
 import (
-	"container/list"
+	"context"
 	"fmt"
+	"strconv"
 	"sync"
 
+	"r2t/internal/cache"
 	"r2t/internal/schema"
 	"r2t/internal/value"
 )
@@ -64,7 +66,7 @@ type Table struct {
 	sink     AppendSink
 
 	// mu guards Rows/version updates through Append, the snapshot read, and
-	// the join cache, so concurrent queries can share one index build and an
+	// the join cache (lookups, flights and stores — never a build), so an
 	// Append can never tear a reader's view.
 	mu      sync.Mutex
 	version uint64 // bumped by every Append
@@ -78,16 +80,9 @@ type Table struct {
 	// version, so no query ever probes — or poisons the cache with — a stale
 	// index. The cache is LRU-bounded at DefaultJoinCacheCap entries: a
 	// workload cycling through many distinct join keys evicts the coldest
-	// index instead of growing without limit.
-	joinCache map[string]*list.Element
-	joinLRU   *list.List // front = most recently used; values are *joinEntry
-	joinStats CacheStats
-}
-
-// joinEntry is one LRU-tracked join-cache slot.
-type joinEntry struct {
-	key string
-	val any
+	// index instead of growing without limit. Guarded by mu.
+	joinCache            *cache.LRU[string, any]
+	extensions, rebuilds uint64
 }
 
 // DefaultJoinCacheCap bounds a table's build-side index cache. Sixteen
@@ -96,36 +91,28 @@ type joinEntry struct {
 // stream of distinct join shapes cannot grow the daemon without bound.
 const DefaultJoinCacheCap = 16
 
-// CacheStats reports one cache's traffic. Hits+Misses counts logical
-// lookups; Evictions counts capacity-driven drops; Invalidations counts
-// entries dropped because an Append advanced the table version and the entry
-// could not follow; Extensions counts entries that survived an Append by
-// extending over the delta rows, of which Rebuilds were full O(table)
-// rebuilds (the compaction backstop) rather than O(delta) extensions.
+// CacheStats reports one table's (or instance's) index-cache traffic:
+// cache.Stats, where Invalidations counts entries dropped because an Append
+// advanced the table version and the entry could not follow, plus
+// Extensions — entries that survived an Append by extending over the delta
+// rows — of which Rebuilds were full O(table) rebuilds (the compaction
+// backstop) rather than O(delta) extensions.
 type CacheStats struct {
-	Hits          uint64 `json:"hits"`
-	Misses        uint64 `json:"misses"`
-	Evictions     uint64 `json:"evictions"`
-	Invalidations uint64 `json:"invalidations"`
-	Extensions    uint64 `json:"extensions"`
-	Rebuilds      uint64 `json:"rebuilds"`
-	Entries       int    `json:"entries"`
+	cache.Stats
+	Extensions uint64 `json:"extensions"`
+	Rebuilds   uint64 `json:"rebuilds"`
 }
 
 // Add accumulates other into s (for instance-level aggregation).
 func (s *CacheStats) Add(other CacheStats) {
-	s.Hits += other.Hits
-	s.Misses += other.Misses
-	s.Evictions += other.Evictions
-	s.Invalidations += other.Invalidations
+	s.Stats.Add(other.Stats)
 	s.Extensions += other.Extensions
 	s.Rebuilds += other.Rebuilds
-	s.Entries += other.Entries
 }
 
 // NewTable returns an empty table for rel.
 func NewTable(rel *schema.Relation) *Table {
-	return &Table{Rel: rel}
+	return &Table{Rel: rel, joinCache: cache.NewLRU[string, any](DefaultJoinCacheCap)}
 }
 
 // SetAppendSink installs (or, with nil, removes) the write-ahead durability
@@ -200,26 +187,23 @@ func (t *Table) extendAttrIndexesLocked(base int, rows []Row) {
 // extendJoinCacheLocked carries the join cache across an Append: entries
 // implementing ExtendableIndex are replaced by their extended successors (and
 // so remain servable at the version bump that follows), everything else is
-// dropped and counted as an invalidation. Callers hold t.mu; the swap is safe
-// because entry values are only ever read under the same lock.
+// dropped and counted as an invalidation. Callers hold t.mu.
 func (t *Table) extendJoinCacheLocked() {
-	for key, e := range t.joinCache {
-		ent := e.Value.(*joinEntry)
-		ix, extendable := ent.val.(ExtendableIndex)
-		if extendable {
-			if next, rebuilt, ok := ix.ExtendedTo(t.Rows); ok && next != nil {
-				ent.val = next
-				t.joinStats.Extensions++
-				if rebuilt {
-					t.joinStats.Rebuilds++
-				}
-				continue
-			}
+	t.joinCache.Retain(func(_ string, v any) (any, bool) {
+		ix, ok := v.(ExtendableIndex)
+		if !ok {
+			return nil, false
 		}
-		t.joinLRU.Remove(e)
-		delete(t.joinCache, key)
-		t.joinStats.Invalidations++
-	}
+		next, rebuilt, ok := ix.ExtendedTo(t.Rows)
+		if !ok || next == nil {
+			return nil, false
+		}
+		t.extensions++
+		if rebuilt {
+			t.rebuilds++
+		}
+		return next, true
+	})
 }
 
 // Version returns the current table version without exposing the rows. It is
@@ -246,9 +230,7 @@ func (t *Table) Snapshot() ([]Row, uint64) {
 func (t *Table) JoinCacheStats() CacheStats {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := t.joinStats
-	s.Entries = len(t.joinCache)
-	return s
+	return CacheStats{Stats: t.joinCache.Stats(), Extensions: t.extensions, Rebuilds: t.rebuilds}
 }
 
 // JoinCacheGetAt returns the cached join structure for key, if present and
@@ -261,54 +243,38 @@ func (t *Table) JoinCacheGetAt(key string, version uint64) (any, bool) {
 	if t.version != version {
 		return nil, false
 	}
-	e, ok := t.joinCache[key]
-	if !ok {
-		return nil, false
-	}
-	t.joinStats.Hits++
-	t.joinLRU.MoveToFront(e)
-	return e.Value.(*joinEntry).val, true
+	return t.joinCache.Get(key)
 }
 
 // JoinCacheAt returns the join structure for key as seen at the given table
-// version, building it with build on first use. The build runs under the
-// table lock, so concurrent queries needing the same index wait for one build
-// instead of repeating it. If the table has moved past version (an Append
-// landed after the caller snapshotted), the structure is built against the
-// caller's stale snapshot and returned WITHOUT being cached — caching it
-// would poison future queries running at the new version. Cached values must
-// be immutable once returned: readers use them without synchronization.
+// version, building it with build on first use. The build runs outside the
+// table lock, so Append, Snapshot and Version never wait on it; concurrent
+// lookups of the same (key, version) wait for one build instead of repeating
+// it. The build is stored only if the table is still at version when it
+// finishes: one built against a snapshot an Append has since overtaken is
+// returned WITHOUT being cached — caching it would poison future queries
+// running at the new version. Cached values must be immutable once
+// returned: readers use them without synchronization.
 //
 // Storing may push the cache over DefaultJoinCacheCap, evicting the least
 // recently used entry; the second return value is the number of entries
 // evicted to make room (for the caller's profiler).
 func (t *Table) JoinCacheAt(key string, version uint64, build func() any) (any, int) {
 	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.version != version {
-		t.joinStats.Misses++
-		return build(), 0
+	if t.version == version {
+		if v, ok := t.joinCache.Get(key); ok {
+			t.mu.Unlock()
+			return v, 0
+		}
 	}
-	if e, ok := t.joinCache[key]; ok {
-		t.joinStats.Hits++
-		t.joinLRU.MoveToFront(e)
-		return e.Value.(*joinEntry).val, 0
-	}
-	t.joinStats.Misses++
-	v := build()
-	if t.joinCache == nil {
-		t.joinCache = make(map[string]*list.Element)
-		t.joinLRU = list.New()
-	}
-	t.joinCache[key] = t.joinLRU.PushFront(&joinEntry{key: key, val: v})
-	if t.joinLRU.Len() <= DefaultJoinCacheCap {
-		return v, 0
-	}
-	back := t.joinLRU.Back()
-	t.joinLRU.Remove(back)
-	delete(t.joinCache, back.Value.(*joinEntry).key)
-	t.joinStats.Evictions++
-	return v, 1
+	evicted := 0
+	flight := key + "\x00" + strconv.FormatUint(version, 10)
+	v, _, _ := t.joinCache.Do(context.TODO(), &t.mu, flight, func() (any, error) { return build(), nil }, func(v any) {
+		if t.version == version {
+			evicted = t.joinCache.Put(key, v)
+		}
+	})
+	return v, evicted
 }
 
 // Len returns the number of rows.

@@ -54,4 +54,9 @@ done <scripts/gates.txt
 # the paper-table and micro benchmarks can't silently rot.
 go test -run=NONE -bench=. -benchtime=1x ./...
 
+# Size: ROADMAP's standing rule is that non-test Go outside bench/ does not
+# grow without a CHANGES.md line saying why; this is the number it means.
+lines=$(find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path './.git/*' -exec cat {} + | wc -l)
+echo "check.sh: non-test Go lines outside bench/: $lines"
+
 echo "check.sh: all green"
