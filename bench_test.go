@@ -155,7 +155,7 @@ func BenchmarkHashJoinTriangles(b *testing.B) {
 // mid-range τ on a heavy-tailed wedge workload.
 func BenchmarkLPTruncationWedges(b *testing.B) {
 	g := graph.GenSocial(200, 800, 48, 5)
-	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Paths2)}
+	occ := exec.FromSets("Node", g.N, graph.Occurrences(g, graph.Paths2))
 	tr := truncation.NewLPFromOccurrences(occ)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -169,7 +169,7 @@ func BenchmarkLPTruncationWedges(b *testing.B) {
 // stop) for edge counting on a road-network sim.
 func BenchmarkR2TEdgeCount(b *testing.B) {
 	g := graph.GenRoad(30, 40, 2)
-	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Edges)}
+	occ := exec.FromSets("Node", g.N, graph.Occurrences(g, graph.Edges))
 	tr := truncation.NewLPFromOccurrences(occ)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -186,7 +186,7 @@ func BenchmarkR2TEdgeCount(b *testing.B) {
 // workload.
 func BenchmarkRMGreedy(b *testing.B) {
 	g := graph.GenSocial(300, 1200, 64, 3)
-	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Triangles)}
+	occ := exec.FromSets("Node", g.N, graph.Occurrences(g, graph.Triangles))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		experiments.RM(occ, 0.8, dp.NewSource(int64(i)))

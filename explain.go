@@ -81,12 +81,8 @@ func (db *DB) Sensitivities(sqlText string, primary []string) (*SensitivityProfi
 		sens = append(sens, s)
 	}
 	sort.Float64s(sens)
-	prof := &SensitivityProfile{
-		Individuals: len(sens),
-		JoinResults: len(res.Rows),
-		TrueAnswer:  res.TrueAnswer(),
-		Max:         res.MaxTupleSensitivity(),
-	}
+	prof := &SensitivityProfile{Individuals: len(sens), JoinResults: len(res.Rows)}
+	prof.TrueAnswer, prof.Max = res.Totals()
 	if len(sens) > 0 {
 		total := 0.0
 		for _, s := range sens {

@@ -159,7 +159,7 @@ func earlyStopFixtures(t *testing.T) []earlyStopFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fixtures = append(fixtures, earlyStopFixture{fx.name, truncation.NewLP(res)})
+		fixtures = append(fixtures, earlyStopFixture{fx.name, truncation.NewLPFromOccurrences(res)})
 	}
 	return fixtures
 }
@@ -176,7 +176,7 @@ func tpchTruncator(t *testing.T, inst *storage.Instance, name string) *truncatio
 	if err != nil {
 		t.Fatal(err)
 	}
-	return truncation.NewLP(res)
+	return truncation.NewLPFromOccurrences(res)
 }
 
 // earlyStopPin is the digest of every early-stop decision in

@@ -53,7 +53,7 @@ func edgeTruncator(t *testing.T, inst *storage.Instance, s *schema.Schema) *trun
 	if err != nil {
 		t.Fatal(err)
 	}
-	return truncation.NewLP(res)
+	return truncation.NewLPFromOccurrences(res)
 }
 
 func TestConfigValidation(t *testing.T) {

@@ -45,7 +45,7 @@ func (c *Core) NumRows() int { return len(c.asgs) }
 // shareable join core. Composing RunCore with Core.Result is bit-identical
 // to RunConfig (same snapshots, same join order, same row order).
 func RunCore(p *plan.Plan, inst *storage.Instance, cfg Config) (*Core, error) {
-	c, err := runCore(p, inst, runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder})
+	c, err := runCore(p, inst, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -74,30 +74,26 @@ func (c *Core) matches(p *plan.Plan) error {
 // Result builds p's aggregate view over the core: exactly what
 // RunConfig(p, inst, ...) would return for the snapshots the core pinned.
 func (c *Core) Result(p *plan.Plan, rec *obs.Recorder) (*Result, error) {
-	if err := c.matches(p); err != nil {
+	units, err := c.build(p, viewSpec{}, rec)
+	if err != nil {
 		return nil, err
 	}
-	res, _, err := buildFromCore(c, p, runOpts{groupVar: -1, rec: rec})
-	return res, err
+	return units[0], nil
 }
 
 // SplitResult builds the signed split over the core for a SUM query whose
-// expression may go negative: the pos/neg halves (see Split) of p's view with
-// negative ψ allowed. Projection queries are rejected (COUNT DISTINCT weights
+// expression may go negative: pos carries the rows with ψ ≥ 0 and neg those
+// with ψ < 0, ψ negated, so Q(I) = pos.TrueAnswer() − neg.TrueAnswer(). Each
+// half is a valid input to a truncation operator; privatizing both (with
+// split budget) and subtracting is the standard way to lift the paper's
+// ψ ≥ 0 requirement. Projection queries are rejected (COUNT DISTINCT weights
 // are always 1).
 func (c *Core) SplitResult(p *plan.Plan, rec *obs.Recorder) (pos, neg *Result, err error) {
-	if len(p.ProjVars) > 0 {
-		return nil, nil, fmt.Errorf("exec: signed split does not apply to projection queries")
-	}
-	if err := c.matches(p); err != nil {
-		return nil, nil, err
-	}
-	full, _, err := buildFromCore(c, p, runOpts{allowNegative: true, groupVar: -1, rec: rec})
+	units, err := c.build(p, viewSpec{signed: true}, rec)
 	if err != nil {
 		return nil, nil, err
 	}
-	pos, neg = Split(full)
-	return pos, neg, nil
+	return units[0], units[1], nil
 }
 
 // PartitionedResult builds the group-by view over the core, partitioning the
@@ -106,12 +102,10 @@ func (c *Core) SplitResult(p *plan.Plan, rec *obs.Recorder) (pos, neg *Result, e
 // would produce, in the same order (the predicate is a pointwise filter on a
 // bound output column, so filtering after the join selects the same row
 // subsequence as pushing it down — see DESIGN.md §10). Rows whose group value
-// matches no entry of groups are dropped. All partitions share one Universe.
+// matches no entry of groups are dropped. Signed, each partition comes as its
+// SplitResult pair: the result lists (pos, neg) per group, in group order.
 // Duplicate group values are rejected.
-func (c *Core) PartitionedResult(p *plan.Plan, rec *obs.Recorder, groupVar int, groups []value.V, allowNegative bool) ([]*Result, error) {
-	if err := c.matches(p); err != nil {
-		return nil, err
-	}
+func (c *Core) PartitionedResult(p *plan.Plan, rec *obs.Recorder, groupVar int, groups []value.V, signed bool) ([]*Result, error) {
 	if groupVar < 0 || groupVar >= p.NumVars {
 		return nil, fmt.Errorf("exec: partition variable %d out of range", groupVar)
 	}
@@ -119,16 +113,15 @@ func (c *Core) PartitionedResult(p *plan.Plan, rec *obs.Recorder, groupVar int, 
 	if err != nil {
 		return nil, err
 	}
-	full, rowPart, err := buildFromCore(c, p, runOpts{
-		allowNegative: allowNegative,
-		groupVar:      groupVar,
-		groupOf:       groupOf,
-		rec:           rec,
-	})
-	if err != nil {
+	return c.build(p, viewSpec{signed: signed, groupVar: groupVar, groupOf: groupOf}, rec)
+}
+
+// build checks that p matches the core and runs the one build pass.
+func (c *Core) build(p *plan.Plan, spec viewSpec, rec *obs.Recorder) ([]*Result, error) {
+	if err := c.matches(p); err != nil {
 		return nil, err
 	}
-	return assemblePartitions(p, full, rowPart, len(groups)), nil
+	return buildFromCore(c, p, spec, rec)
 }
 
 // makeGroupOf maps each group value's canonical key to its partition index,
@@ -143,53 +136,4 @@ func makeGroupOf(groups []value.V) (map[value.V]int32, error) {
 		groupOf[k] = int32(i)
 	}
 	return groupOf, nil
-}
-
-// assemblePartitions splits a full run into per-group Results sharing one
-// Universe, preserving row order and rebuilding projection groups in
-// first-appearance order — exactly the order a per-group run would assign
-// (see PartitionedResult).
-func assemblePartitions(p *plan.Plan, full *Result, rowPart []int32, ngroups int) []*Result {
-	parts := make([]*Result, ngroups)
-	for i := range parts {
-		parts[i] = &Result{Plan: p, Universe: full.Universe, IsProjection: full.IsProjection}
-	}
-	// For projections, map each row to its full-run projection group so the
-	// partitions can rebuild their own Groups in first-appearance order —
-	// exactly the order a per-group run's projKeys map would assign.
-	var rowProj []int32
-	var localGroup [][]int // per partition: full group id → local id + 1
-	if full.IsProjection {
-		rowProj = make([]int32, len(full.Rows))
-		for l, group := range full.Groups {
-			for _, k := range group {
-				rowProj[k] = int32(l)
-			}
-		}
-		localGroup = make([][]int, ngroups)
-		for i := range localGroup {
-			localGroup[i] = make([]int, len(full.Groups))
-		}
-	}
-	for k, row := range full.Rows {
-		pi := rowPart[k]
-		if pi < 0 {
-			continue
-		}
-		part := parts[pi]
-		idx := len(part.Rows)
-		part.Rows = append(part.Rows, row)
-		if full.IsProjection {
-			gl := rowProj[k]
-			l := localGroup[pi][gl]
-			if l == 0 {
-				part.Groups = append(part.Groups, nil)
-				part.GroupPsi = append(part.GroupPsi, full.GroupPsi[gl])
-				l = len(part.Groups)
-				localGroup[pi][gl] = l
-			}
-			part.Groups[l-1] = append(part.Groups[l-1], idx)
-		}
-	}
-	return parts
 }

@@ -117,7 +117,7 @@ func (cc *CoreCache) Get(ctx context.Context, p *plan.Plan, inst *storage.Instan
 		return slot.core, true, nil
 	}
 	slot, shared, err := cc.cores.Do(ctx, &cc.mu, sig+"\x00"+vkey, func() (coreSlot, error) {
-		core, err := runCore(p, inst, runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder})
+		core, err := runCore(p, inst, cfg)
 		if err != nil {
 			return coreSlot{}, err
 		}

@@ -4,7 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"strings"
 
 	"r2t/internal/obs"
 	"r2t/internal/plan"
@@ -30,15 +31,19 @@ type JoinRow struct {
 	RefIDs []int32
 }
 
-// Result is the evaluated reporting query (Section 9): everything the
-// truncation operators need.
+// Result is the occurrence form of one release unit (Section 9, Figure 3):
+// ψ(q_k) plus the referenced individuals per join result — the one object the
+// truncation operators read (truncation.Occurrences is this type).
 //
-// Provenance is interned: Universe lists every referenced individual once,
-// in first-appearance order over the rows, and each row carries indices into
-// it. Results produced from the same run (Split halves, PartitionedResult
-// partitions) share one Universe, so a Result's rows may reference only a
-// subset of it — per-result aggregates (NumIndividuals, SortedTupleRefs, …)
-// count only individuals that actually occur in the rows.
+// Every view the executor emits — a plain run, either half of a signed split,
+// each group of a partitioned run — is built with its own universe: Universe
+// lists exactly the individuals the view's rows reference, once each, in
+// canonical (Rel, Key) order, so the ids depend on which rows the view holds
+// and never on the order the join met them. Each row's RefIDs index it in
+// atom order without repeats, and all rows' RefIDs are consecutive windows of
+// one slab, each capped at its own length. Generators that bypass the SQL
+// engine (FromSets) number their individuals densely instead; either way the
+// individual count is len(Universe).
 type Result struct {
 	Plan     *plan.Plan
 	Rows     []JoinRow
@@ -50,6 +55,21 @@ type Result struct {
 	IsProjection bool
 	Groups       [][]int
 	GroupPsi     []float64
+}
+
+// FromSets builds the occurrence form of a workload generated without the
+// SQL engine (the graph pattern enumerators, synthetic test inputs): n
+// individuals rel:0 … rel:n−1, whose dense ids are their canonical order, and
+// one row of weight 1 per set of ids. The sets become the rows' RefIDs as is.
+func FromSets(rel string, n int, sets [][]int32) *Result {
+	res := &Result{Rows: make([]JoinRow, len(sets)), Universe: make([]TupleRef, n)}
+	for j := range res.Universe {
+		res.Universe[j] = TupleRef{Rel: rel, Key: value.IntV(int64(j))}
+	}
+	for k, set := range sets {
+		res.Rows[k] = JoinRow{Psi: 1, RefIDs: set}
+	}
+	return res
 }
 
 // Refs resolves row k's interned provenance against the universe. It
@@ -78,44 +98,51 @@ func (r *Result) TrueAnswer() float64 {
 	return s
 }
 
-// sensByID accumulates S_Q(I, t) per universe id, and which ids occur in
-// the rows at all (the universe can be a superset for shared-run results).
-func (r *Result) sensByID() (sens []float64, occurs []bool) {
-	sens = make([]float64, len(r.Universe))
-	occurs = make([]bool, len(r.Universe))
-	for _, row := range r.Rows {
-		for _, id := range row.RefIDs {
-			sens[id] += row.Psi
-			occurs[id] = true
-		}
-	}
-	return sens, occurs
-}
-
-// SensitivityByTuple returns S_Q(I, t_P) for every referenced individual
-// (eq. 4): the total ψ-weight of join results referencing that tuple.
-func (r *Result) SensitivityByTuple() map[TupleRef]float64 {
-	sens, occurs := r.sensByID()
-	out := make(map[TupleRef]float64)
-	for id, ok := range occurs {
-		if ok {
-			out[r.Universe[id]] = sens[id]
-		}
-	}
-	return out
-}
-
 // MaxTupleSensitivity returns max_t S_Q(I,t): DS_Q(I) for SJA queries and
 // IS_Q(I) (the indirect sensitivity, Section 7) for SPJA queries.
 func (r *Result) MaxTupleSensitivity() float64 {
-	sens, occurs := r.sensByID()
-	var m float64
-	for id, ok := range occurs {
-		if ok && sens[id] > m {
-			m = sens[id]
+	_, tauStar := r.Totals()
+	return tauStar
+}
+
+// Totals returns TrueAnswer and MaxTupleSensitivity from one pass over the
+// rows, bit for bit.
+func (r *Result) Totals() (answer, tauStar float64) {
+	sens, answer := r.sensitivities()
+	if r.IsProjection {
+		answer = r.TrueAnswer()
+	}
+	for _, s := range sens {
+		if s > tauStar {
+			tauStar = s
 		}
 	}
-	return m
+	return answer, tauStar
+}
+
+// sensitivities returns S_Q(I, t) per universe id (eq. 4) — the total
+// ψ-weight of the join results referencing individual t — and Σψ(q_k), from
+// one pass over the rows.
+func (r *Result) sensitivities() (sens []float64, sum float64) {
+	sens = make([]float64, len(r.Universe))
+	for _, row := range r.Rows {
+		sum += row.Psi
+		for _, id := range row.RefIDs {
+			sens[id] += row.Psi
+		}
+	}
+	return sens, sum
+}
+
+// SensitivityByTuple returns S_Q(I, t_P) for every individual of the
+// universe, keyed by the individual.
+func (r *Result) SensitivityByTuple() map[TupleRef]float64 {
+	sens, _ := r.sensitivities()
+	out := make(map[TupleRef]float64, len(sens))
+	for id, s := range sens {
+		out[r.Universe[id]] = s
+	}
+	return out
 }
 
 // DownwardSensitivity returns DS_Q(I) exactly. For SJA it equals
@@ -150,37 +177,6 @@ func (r *Result) DownwardSensitivity() float64 {
 	return m
 }
 
-// NumIndividuals returns the number of distinct referenced individuals.
-func (r *Result) NumIndividuals() int {
-	_, occurs := r.sensByID()
-	n := 0
-	for _, ok := range occurs {
-		if ok {
-			n++
-		}
-	}
-	return n
-}
-
-// SortedTupleRefs returns the distinct individuals referenced anywhere in r,
-// in a deterministic order — handy for tests and experiment output.
-func (r *Result) SortedTupleRefs() []TupleRef {
-	_, occurs := r.sensByID()
-	var out []TupleRef
-	for id, ok := range occurs {
-		if ok {
-			out = append(out, r.Universe[id])
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rel != out[j].Rel {
-			return out[i].Rel < out[j].Rel
-		}
-		return value.Less(out[i].Key, out[j].Key)
-	})
-	return out
-}
-
 // Config tunes the executor without changing its results.
 type Config struct {
 	// Workers bounds the probe worker pool. 0 (or negative) means
@@ -203,61 +199,11 @@ func Run(p *plan.Plan, inst *storage.Instance) (*Result, error) {
 
 // RunConfig is Run with an explicit executor configuration.
 func RunConfig(p *plan.Plan, inst *storage.Instance, cfg Config) (*Result, error) {
-	opt := runOpts{workers: cfg.Workers, groupVar: -1, rec: cfg.Recorder}
-	c, err := runCore(p, inst, opt)
+	c, err := runCore(p, inst, cfg)
 	if err != nil {
 		return nil, err
 	}
-	res, _, err := buildFromCore(c, p, opt)
-	return res, err
-}
-
-// Split separates an allowNegative view into two non-negative halves: pos
-// carries ψ⁺ = max(ψ,0) and neg carries ψ⁻ = max(−ψ,0), so Q(I) =
-// pos.TrueAnswer() − neg.TrueAnswer(). Each half is a valid input to a
-// truncation operator; privatizing both (with split budget) and subtracting
-// is the standard way to lift the paper's ψ ≥ 0 requirement. Both halves
-// share full's Universe.
-func Split(full *Result) (pos, neg *Result) {
-	pos = &Result{Plan: full.Plan, Universe: full.Universe}
-	neg = &Result{Plan: full.Plan, Universe: full.Universe}
-	for _, row := range full.Rows {
-		if row.Psi >= 0 {
-			pos.Rows = append(pos.Rows, row)
-		} else {
-			neg.Rows = append(neg.Rows, JoinRow{Psi: -row.Psi, RefIDs: row.RefIDs})
-		}
-	}
-	return pos, neg
-}
-
-// runOpts carries one run's parameters; none of them changes the row order.
-type runOpts struct {
-	allowNegative bool
-	workers       int
-	groupVar      int // -1: no partitioning
-	groupOf       map[value.V]int32
-	rec           *obs.Recorder // nil = profiling off
-}
-
-// refInterner assigns dense ids to TupleRefs in first-appearance order.
-type refInterner struct {
-	ids   map[TupleRef]int32
-	order []TupleRef
-}
-
-func newRefInterner() *refInterner {
-	return &refInterner{ids: make(map[TupleRef]int32)}
-}
-
-func (in *refInterner) id(r TupleRef) int32 {
-	if id, ok := in.ids[r]; ok {
-		return id
-	}
-	id := int32(len(in.order))
-	in.ids[r] = id
-	in.order = append(in.order, r)
-	return id
+	return c.Result(p, cfg.Recorder)
 }
 
 // runCore executes the probe pass: the join of the plan's atoms under its
@@ -265,9 +211,9 @@ func (in *refInterner) id(r TupleRef) int32 {
 // here reads the aggregate expression, the primary designation, or any
 // privacy parameter — the core is exactly the work that can be shared across
 // queries with equal JoinSignatures. The returned Core is immutable.
-func runCore(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Core, error) {
-	stopExec := opt.rec.Time(obs.StageExec)
-	defer stopExec()
+func runCore(p *plan.Plan, inst *storage.Instance, cfg Config) (*Core, error) {
+	rec := cfg.Recorder
+	defer rec.Time(obs.StageExec)()
 
 	// Snapshot every atom's table up front: a concurrent Append can land
 	// mid-query, and the snapshot pins both the row view (Append only
@@ -330,7 +276,7 @@ func runCore(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Core, error) {
 		}
 	}
 
-	workers := opt.workers
+	workers := cfg.Workers
 	if workers <= 0 {
 		workers = defaultWorkers()
 	}
@@ -339,9 +285,9 @@ func runCore(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Core, error) {
 	current := [][]value.V{make([]value.V, p.NumVars)} // one empty assignment
 	for si, st := range steps {
 		snap := snaps[st.atom]
-		opt.rec.Add(obs.CtrExecRowsProbed, int64(len(current)))
-		current = joinStepExec(current, &steps[si], snap, filterAt[si], p.NumVars, workers, opt.rec)
-		opt.rec.Add(obs.CtrExecRowsOut, int64(len(current)))
+		rec.Add(obs.CtrExecRowsProbed, int64(len(current)))
+		current = joinStepExec(current, &steps[si], snap, filterAt[si], p.NumVars, workers, rec)
+		rec.Add(obs.CtrExecRowsOut, int64(len(current)))
 		if len(current) == 0 {
 			break
 		}
@@ -354,112 +300,177 @@ func runCore(p *plan.Plan, inst *storage.Instance, opt runOpts) (*Core, error) {
 	return c, nil
 }
 
-// buildFromCore evaluates one query's aggregate view over a finished probe
-// pass: ψ weights from the plan's SUM expression, interned provenance from
-// its primary designation, projection groups, and (optionally) partition
-// assignments. It only reads the core's assignments, so any number of
-// builds — for different aggregates, even concurrently — may share one core.
-// The second return value is the per-row partition id (or nil when
-// opt.groupVar < 0).
-func buildFromCore(c *Core, p *plan.Plan, opt runOpts) (*Result, []int32, error) {
-	stopExec := opt.rec.Time(obs.StageExec)
-	defer stopExec()
+// viewSpec selects the release units a build routes rows to: one plain unit;
+// a signed split's (ψ ≥ 0, ψ < 0 negated) pair; or, partitioned, that per
+// group in group order.
+type viewSpec struct {
+	signed   bool
+	groupVar int               // the partition variable, read when groupOf != nil
+	groupOf  map[value.V]int32 // group value key → group index; nil: unpartitioned
+}
 
+// buildFromCore is the one pass from a join core to release units, and the
+// only code that reads core assignments: it evaluates each row's ψ from the
+// plan's SUM expression and routes the row to its unit — the plain view, a
+// sign half, a group (× sign) — interning the individuals it references and
+// its projection key into that unit as it goes; then each unit renames its
+// individuals canonically (unit.finish). It only reads the core, so any
+// number of builds — for different aggregates, even concurrently — may share
+// one.
+func buildFromCore(c *Core, p *plan.Plan, spec viewSpec, rec *obs.Recorder) ([]*Result, error) {
+	defer rec.Time(obs.StageExec)()
+	isProj := len(p.ProjVars) > 0
+	if spec.signed && isProj {
+		return nil, fmt.Errorf("exec: signed split does not apply to projection queries")
+	}
 	var sumFn scalarFn
 	if p.SumExpr != nil {
 		fn, err := compileScalar(p.SumExpr, p)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		sumFn = fn
 	}
-	current := c.asgs
-
-	// Build join rows with ψ and provenance.
-	res := &Result{Plan: p}
-	res.Rows = make([]JoinRow, 0, len(current))
-	var projKeys map[string]int
-	isProj := len(p.ProjVars) > 0
-	if isProj {
-		res.IsProjection = true
-		projKeys = make(map[string]int)
+	halves, groups := 1, 1
+	if spec.signed {
+		halves = 2
 	}
-	var rowPart []int32
-	if opt.groupVar >= 0 {
-		rowPart = make([]int32, 0, len(current))
+	if spec.groupOf != nil {
+		groups = len(spec.groupOf)
 	}
-	intern := newRefInterner()
-	numPriv := 0
-	for _, pk := range p.PrivPK {
-		if pk >= 0 {
-			numPriv++
+	units := make([]unit, halves*groups)
+	for i := range units {
+		units[i] = unit{res: &Result{Plan: p, IsProjection: isProj}, ids: make(map[TupleRef]int32)}
+		if isProj {
+			units[i].proj = make(map[string]int)
 		}
 	}
-	// One backing array for every row's RefIDs; capacity is exact, so the
-	// appends below never reallocate and the per-row subslices stay valid.
-	refSlab := make([]int32, 0, len(current)*numPriv)
+	if len(units) == 1 {
+		// One unit takes every row: size its rows and ref slab exactly.
+		units[0].res.Rows = make([]JoinRow, 0, len(c.asgs))
+		units[0].refs = make([]int32, 0, len(c.asgs)*p.PrivateAtoms())
+	}
 	var keyBuf []byte
-	for _, asg := range current {
+	for _, asg := range c.asgs {
 		var psi float64 = 1
 		if sumFn != nil {
 			v := sumFn(asg)
 			if !v.IsNumeric() {
-				return nil, nil, fmt.Errorf("exec: SUM expression evaluated to non-numeric value %v", v)
+				return nil, fmt.Errorf("exec: SUM expression evaluated to non-numeric value %v", v)
 			}
 			psi = v.AsFloat()
-			if psi < 0 && !opt.allowNegative {
-				return nil, nil, fmt.Errorf("exec: SUM expression produced negative weight %v (ψ must be non-negative; set AllowNegativeSum to split the query)", psi)
+			if psi < 0 && !spec.signed {
+				return nil, fmt.Errorf("exec: SUM expression produced negative weight %v (ψ must be non-negative; set AllowNegativeSum to split the query)", psi)
 			}
 			if math.IsNaN(psi) || math.IsInf(psi, 0) {
-				return nil, nil, fmt.Errorf("exec: SUM expression produced non-finite weight")
+				return nil, fmt.Errorf("exec: SUM expression produced non-finite weight")
 			}
 		}
-		row := JoinRow{Psi: psi}
-		start := len(refSlab)
-		for i, pk := range p.PrivPK {
-			if pk < 0 {
-				continue
-			}
-			id := intern.id(TupleRef{Rel: p.Atoms[i].Rel.Name, Key: asg[pk].Key()})
-			dup := false
-			for _, ex := range refSlab[start:] {
-				if ex == id {
-					dup = true
-					break
-				}
-			}
-			if !dup {
-				refSlab = append(refSlab, id)
-			}
-		}
-		row.RefIDs = refSlab[start:len(refSlab):len(refSlab)]
-		k := len(res.Rows)
-		res.Rows = append(res.Rows, row)
-		if rowPart != nil {
-			pi, ok := opt.groupOf[asg[opt.groupVar].Key()]
+		u := 0
+		if spec.groupOf != nil {
+			g, ok := spec.groupOf[asg[spec.groupVar].Key()]
 			if !ok {
-				pi = -1
+				continue // in no requested group
 			}
-			rowPart = append(rowPart, pi)
+			u = int(g) * halves
 		}
-		if isProj {
-			keyBuf = keyBuf[:0]
-			for _, v := range p.ProjVars {
-				keyBuf = appendValueKey(keyBuf, asg[v])
-			}
-			ks := string(keyBuf)
-			l, ok := projKeys[ks]
-			if !ok {
-				l = len(res.Groups)
-				projKeys[ks] = l
-				res.Groups = append(res.Groups, nil)
-				res.GroupPsi = append(res.GroupPsi, 1) // COUNT(DISTINCT): ψ(p_l)=1
-			}
-			res.Groups[l] = append(res.Groups[l], k)
+		if psi < 0 { // signed: the negative half carries −ψ
+			u++
+			psi = -psi
+		}
+		keyBuf = units[u].add(p, asg, psi, keyBuf)
+	}
+	out := make([]*Result, len(units))
+	for i := range units {
+		out[i] = units[i].finish()
+	}
+	return out, nil
+}
+
+// unit accumulates one release unit during a build: its rows, its own
+// individual interner (ids in first-appearance order until finish), the
+// rows' RefIDs back to back in one slab, and its projection-key map.
+type unit struct {
+	res  *Result // Universe holds the interned individuals in id order
+	ids  map[TupleRef]int32
+	refs []int32
+	proj map[string]int // nil unless the query has a projection
+}
+
+// add appends one join row: its distinct individuals in atom order and, for
+// a projection, its membership in the group of its projected value.
+func (u *unit) add(p *plan.Plan, asg []value.V, psi float64, keyBuf []byte) []byte {
+	start := len(u.refs)
+	for i, pk := range p.PrivPK {
+		if pk < 0 {
+			continue
+		}
+		ref := TupleRef{Rel: p.Atoms[i].Rel.Name, Key: asg[pk].Key()}
+		id, ok := u.ids[ref]
+		if !ok {
+			id = int32(len(u.res.Universe))
+			u.ids[ref] = id
+			u.res.Universe = append(u.res.Universe, ref)
+		}
+		if !slices.Contains(u.refs[start:], id) {
+			u.refs = append(u.refs, id)
 		}
 	}
-	res.Universe = intern.order
-	return res, rowPart, nil
+	k := len(u.res.Rows)
+	// Only the length of RefIDs is final here: finish re-points it into the
+	// slab, which a later append may have moved.
+	u.res.Rows = append(u.res.Rows, JoinRow{Psi: psi, RefIDs: u.refs[start:]})
+	if u.proj != nil {
+		keyBuf = keyBuf[:0]
+		for _, v := range p.ProjVars {
+			keyBuf = appendValueKey(keyBuf, asg[v])
+		}
+		l, ok := u.proj[string(keyBuf)]
+		if !ok {
+			l = len(u.res.Groups)
+			u.proj[string(keyBuf)] = l
+			u.res.Groups = append(u.res.Groups, nil)
+			u.res.GroupPsi = append(u.res.GroupPsi, 1) // COUNT(DISTINCT): ψ(p_l)=1
+		}
+		u.res.Groups[l] = append(u.res.Groups[l], k)
+	}
+	return keyBuf
+}
+
+// finish renames the unit's individuals to canonical (Rel, Key) order and
+// points each row's RefIDs at its capped window of the slab.
+func (u *unit) finish() *Result {
+	res := u.res
+	order := res.Universe
+	perm := make([]int32, len(order))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	slices.SortFunc(perm, func(a, b int32) int { return compareRefs(order[a], order[b]) })
+	rename := make([]int32, len(order))
+	res.Universe = make([]TupleRef, len(order))
+	for rank, id := range perm {
+		rename[id] = int32(rank)
+		res.Universe[rank] = order[id]
+	}
+	for i, id := range u.refs {
+		u.refs[i] = rename[id]
+	}
+	off := 0
+	for k := range res.Rows {
+		end := off + len(res.Rows[k].RefIDs)
+		res.Rows[k].RefIDs = u.refs[off:end:end]
+		off = end
+	}
+	return res
+}
+
+// compareRefs is the canonical order of individuals: by relation, then key.
+func compareRefs(a, b TupleRef) int {
+	if c := strings.Compare(a.Rel, b.Rel); c != 0 {
+		return c
+	}
+	return value.Compare(a.Key, b.Key)
 }
 
 // step describes joining one atom into the current assignment set.

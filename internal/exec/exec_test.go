@@ -80,7 +80,7 @@ func TestEdgeCount(t *testing.T) {
 	if got := res.MaxTupleSensitivity(); got != 3 {
 		t.Errorf("DS = %g, want 3", got)
 	}
-	if got := res.NumIndividuals(); got != 4 {
+	if got := len(res.Universe); got != 4 {
 		t.Errorf("individuals = %d, want 4", got)
 	}
 }
@@ -223,10 +223,12 @@ func TestProjectionExample71(t *testing.T) {
 	}
 }
 
+// TestSortedTupleRefsDeterministic: the sorted individuals are the universe
+// itself, in canonical order.
 func TestSortedTupleRefsDeterministic(t *testing.T) {
 	inst := graphInstance(4, [][2]int{{0, 1}, {1, 2}, {0, 2}, {2, 3}})
 	res := mustRun(t, edgeCountSQL, graphSchema(), schema.PrivateSpec{Primary: []string{"Node"}}, inst)
-	refs := res.SortedTupleRefs()
+	refs := res.Universe
 	if len(refs) != 4 {
 		t.Fatalf("refs = %v", refs)
 	}

@@ -146,25 +146,20 @@ func greedyProjectionDistance(g *graph.Graph, theta int) int {
 // the greedy sweep over all individuals makes it far slower than R2T —
 // matching the profile reported for RM in Table 2.
 func RM(o *truncation.Occurrences, eps float64, src dp.NoiseSource) float64 {
-	n := o.NumIndividuals
+	n := len(o.Universe)
 	// occurrence → alive; individual → its occurrences.
-	alive := make([]bool, len(o.Sets))
+	alive := make([]bool, len(o.Rows))
 	for k := range alive {
 		alive[k] = true
 	}
 	byInd := make([][]int32, n)
-	for k, set := range o.Sets {
-		for _, j := range set {
-			byInd[j] = append(byInd[j], int32(k))
-		}
-	}
 	sens := make([]float64, n)
 	cur := 0.0
-	for k := range o.Sets {
-		w := o.PsiAt(k)
-		cur += w
-		for _, j := range o.Sets[k] {
-			sens[j] += w
+	for k, row := range o.Rows {
+		cur += row.Psi
+		for _, j := range row.RefIDs {
+			byInd[j] = append(byInd[j], int32(k))
+			sens[j] += row.Psi
 		}
 	}
 	deadInd := make([]bool, n)
@@ -186,10 +181,10 @@ func RM(o *truncation.Occurrences, eps float64, src dp.NoiseSource) float64 {
 				continue
 			}
 			alive[k] = false
-			w := o.PsiAt(int(k))
-			cur -= w
-			for _, j := range o.Sets[k] {
-				sens[j] -= w
+			row := o.Rows[k]
+			cur -= row.Psi
+			for _, j := range row.RefIDs {
+				sens[j] -= row.Psi
 			}
 		}
 		values = append(values, cur)

@@ -5,8 +5,8 @@ import (
 	"testing"
 
 	"r2t/internal/dp"
+	"r2t/internal/exec"
 	"r2t/internal/graph"
-	"r2t/internal/truncation"
 )
 
 func starGraph(centerDeg int) *graph.Graph {
@@ -98,10 +98,7 @@ func TestSDENoiseGrowsWithDistance(t *testing.T) {
 func TestRMAccurateOnStableInstance(t *testing.T) {
 	// 100 individuals each with one unit occurrence: removing any one
 	// changes the answer by 1, so RM's exponential mechanism lands near 100.
-	occ := &truncation.Occurrences{NumIndividuals: 100}
-	for j := int32(0); j < 100; j++ {
-		occ.Sets = append(occ.Sets, []int32{j})
-	}
+	occ := exec.FromSets("t", 100, singletons(100))
 	var worst float64
 	for seed := int64(0); seed < 30; seed++ {
 		got := RM(occ, 1, dp.NewSource(seed))
@@ -117,14 +114,20 @@ func TestRMAccurateOnStableInstance(t *testing.T) {
 func TestRMExactWithoutRandomTail(t *testing.T) {
 	// With a ZeroNoise source the uniform becomes 0.5 and the exponential
 	// mechanism picks k=0 whenever its weight dominates: estimate = truth.
-	occ := &truncation.Occurrences{NumIndividuals: 10}
-	for j := int32(0); j < 10; j++ {
-		occ.Sets = append(occ.Sets, []int32{j})
-	}
+	occ := exec.FromSets("t", 10, singletons(10))
 	got := RM(occ, 8, dp.ZeroNoise{})
 	if got != 10 {
 		t.Errorf("RM = %g, want 10", got)
 	}
+}
+
+// singletons returns n one-individual sets, individual j in set j.
+func singletons(n int) [][]int32 {
+	sets := make([][]int32, n)
+	for j := range sets {
+		sets[j] = []int32{int32(j)}
+	}
+	return sets
 }
 
 func TestRandomThetaRange(t *testing.T) {

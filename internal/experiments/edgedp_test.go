@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"r2t/internal/dp"
+	"r2t/internal/exec"
 	"r2t/internal/graph"
 	"r2t/internal/truncation"
 
@@ -69,7 +70,7 @@ func TestEdgeDPBeatsNodeDPOnTriangles(t *testing.T) {
 	}
 	edgeErr /= runs
 
-	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Triangles)}
+	occ := exec.FromSets("Node", g.N, graph.Occurrences(g, graph.Triangles))
 	tr := truncation.NewLPFromOccurrences(occ)
 	var nodeErr float64
 	for seed := int64(0); seed < runs; seed++ {

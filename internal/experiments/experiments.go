@@ -20,6 +20,7 @@ import (
 
 	"r2t/internal/core"
 	"r2t/internal/dp"
+	"r2t/internal/exec"
 	"r2t/internal/graph"
 	"r2t/internal/truncation"
 )
@@ -151,7 +152,7 @@ func measure(cfg Config, truth float64, fn func(seed int64) (float64, error)) (C
 
 // graphTruncator builds the LP truncation operator for a pattern query.
 func graphTruncator(g *graph.Graph, p graph.Pattern) *truncation.LPTruncator {
-	occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, p)}
+	occ := exec.FromSets("Node", g.N, graph.Occurrences(g, p))
 	return truncation.NewLPFromOccurrences(occ)
 }
 

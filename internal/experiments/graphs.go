@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"r2t/internal/dp"
+	"r2t/internal/exec"
 	"r2t/internal/graph"
 	"r2t/internal/mech"
 	"r2t/internal/truncation"
@@ -106,7 +107,7 @@ func graphCell(cfg Config, g *graph.Graph, d graph.Dataset, p graph.Pattern, m s
 			tau := grid[int(float64(len(grid))*uniformFromSeed(seed))%len(grid)]
 			return mech.LPFixedTau(tr, tau, eps, src)
 		case "RM":
-			occ := &truncation.Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, p)}
+			occ := exec.FromSets("Node", g.N, graph.Occurrences(g, p))
 			return RM(occ, eps, src), nil
 		}
 		return 0, fmt.Errorf("unknown mechanism %q", m)

@@ -50,7 +50,7 @@ func Table5(cfg Config) *Table {
 			continue
 		}
 		truth := res.TrueAnswer()
-		tr := truncation.NewLP(res)
+		tr := truncation.NewLPFromOccurrences(res)
 		r2tCell, err := measure(cfg, truth, func(seed int64) (float64, error) {
 			return runR2T(tr, tpchGSQ, cfg.Eps, cfg.Beta, seed, true)
 		})
@@ -61,7 +61,7 @@ func Table5(cfg Config) *Table {
 
 		lsStr := "not supported"
 		if q.LSSupported {
-			nt, err := truncation.NewNaive(res)
+			nt, err := truncation.NewNaiveFromOccurrences(res)
 			if err == nil {
 				lsCell, lerr := measure(cfg, truth, func(seed int64) (float64, error) {
 					return mech.LS(nt, tpchGSQ, cfg.Eps, dp.NewSource(seed))
@@ -117,7 +117,7 @@ func Fig7(cfg Config) []*Table {
 			}
 			truth := res.TrueAnswer()
 			rows["query result"] = append(rows["query result"], fmtFloat(truth))
-			tr := truncation.NewLP(res)
+			tr := truncation.NewLPFromOccurrences(res)
 			cell, err := measure(cfg, truth, func(seed int64) (float64, error) {
 				return runR2T(tr, tpchGSQ, cfg.Eps, cfg.Beta, seed, true)
 			})
@@ -128,7 +128,7 @@ func Fig7(cfg Config) []*Table {
 				rows["R2T err%"] = append(rows["R2T err%"], fmtFloat(cell.RelErrPct))
 				rows["R2T time s"] = append(rows["R2T time s"], fmtFloat(cell.Seconds))
 			}
-			nt, nerr := truncation.NewNaive(res)
+			nt, nerr := truncation.NewNaiveFromOccurrences(res)
 			if nerr != nil {
 				rows["LS err%"] = append(rows["LS err%"], "not supported")
 				rows["LS time s"] = append(rows["LS time s"], "-")
@@ -168,8 +168,8 @@ func Fig8(cfg Config) []*Table {
 			continue
 		}
 		truth := res.TrueAnswer()
-		tr := truncation.NewLP(res)
-		nt, nerr := truncation.NewNaive(res)
+		tr := truncation.NewLPFromOccurrences(res)
+		nt, nerr := truncation.NewNaiveFromOccurrences(res)
 
 		t := &Table{
 			Title:   fmt.Sprintf("Figure 8 (%s): relative error %% vs GSQ (result %s)", name, fmtFloat(truth)),

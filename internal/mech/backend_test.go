@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"r2t/internal/dp"
+	"r2t/internal/exec"
 	"r2t/internal/truncation"
 )
 
@@ -28,10 +29,11 @@ func TestNaiveLaplace(t *testing.T) {
 
 func TestLPFixedTauBiasAndNoise(t *testing.T) {
 	// A 10-star under edge counting: Q(I,τ) = min(10, τ).
-	occ := &truncation.Occurrences{NumIndividuals: 11}
+	var sets [][]int32
 	for leaf := int32(1); leaf <= 10; leaf++ {
-		occ.Sets = append(occ.Sets, []int32{0, leaf})
+		sets = append(sets, []int32{0, leaf})
 	}
+	occ := exec.FromSets("t", 11, sets)
 	tr := truncation.NewLPFromOccurrences(occ)
 	got, err := LPFixedTau(tr, 4, 1, dp.ZeroNoise{})
 	if err != nil {
@@ -51,15 +53,15 @@ func TestLPFixedTauBiasAndNoise(t *testing.T) {
 
 func buildNaive(t *testing.T, sens []float64) *truncation.NaiveTruncator {
 	t.Helper()
-	occ := &truncation.Occurrences{NumIndividuals: len(sens)}
-	var psi []float64
-	for j, s := range sens {
-		occ.Sets = append(occ.Sets, []int32{int32(j)})
-		psi = append(psi, s)
+	// One occurrence per individual, weighted by its sensitivity.
+	sets := make([][]int32, len(sens))
+	for j := range sets {
+		sets[j] = []int32{int32(j)}
 	}
-	occ.Psi = psi
-	// NaiveTruncator is built from an exec result normally; reuse the LP
-	// occurrence form through a tiny adapter: one occurrence per individual.
+	occ := exec.FromSets("t", len(sens), sets)
+	for j, s := range sens {
+		occ.Rows[j].Psi = s
+	}
 	nt, err := truncation.NewNaiveFromOccurrences(occ)
 	if err != nil {
 		t.Fatal(err)

@@ -1,9 +1,9 @@
 // The cost-based mechanism chooser. Given ONLY data-independent inputs — the
-// query's structure (self-joins, projection, signed split, group-by), the
-// public parameters (ε, GS_Q, β, the error target) and a calibrated cost
-// model — Choose picks the cheapest backend whose a-priori error bound meets
-// the caller's target, falling back to R2T when none qualifies or no target
-// was given.
+// query's structure (self-joins, projection, private atoms, signed split,
+// group-by), the public parameters (ε, GS_Q, β, the error target) and a
+// calibrated cost model — Choose picks the cheapest backend whose a-priori
+// error bound meets the caller's target, falling back to R2T when none
+// qualifies or no target was given.
 //
 // WHY THE DECISION IS LEAK-FREE (DESIGN.md §15): the selected mechanism is a
 // deterministic function of (shape, config). Shape comes from the query and
@@ -48,10 +48,30 @@ func ValidMechanism(name string) bool {
 // Shape is the data-independent query structure the chooser may see. It is a
 // function of the SQL text and the schema only — never of the instance.
 type Shape struct {
-	SelfJoin   bool // some relation appears in more than one atom
-	Projection bool // COUNT(DISTINCT ...): SPJA group rows
-	SignedSum  bool // AllowNegativeSum split into Q⁺ − Q⁻
-	GroupBy    bool // per-group release with a split budget
+	SelfJoin     bool // some relation appears in more than one atom
+	Projection   bool // COUNT(DISTINCT ...): SPJA group rows
+	PrivateAtoms int  // atoms over a primary private relation
+	SignedSum    bool // AllowNegativeSum split into Q⁺ − Q⁻
+	GroupBy      bool // per-group release with a split budget
+}
+
+// NaiveApplicable reports whether naive truncation — the ls backend's
+// operator, and r2t's under Options.Naive — may run on the shape: it is
+// DP-safe only when every join result references at most one individual
+// (Section 6), and the shape guarantees that only without a self-join, a
+// projection or a second private atom. Deciding it here, from the shape,
+// keeps the refusal ahead of any charge; the operator's own check on the rows
+// would answer or fail depending on the data.
+func NaiveApplicable(s Shape) (bool, string) {
+	switch {
+	case s.SelfJoin:
+		return false, "self-join: naive truncation is not DP-safe (Example 1.2)"
+	case s.Projection:
+		return false, "projection: naive truncation does not support SPJA"
+	case s.PrivateAtoms > 1:
+		return false, fmt.Sprintf("%d primary-private atoms: a join result can reference several individuals, which naive truncation does not support", s.PrivateAtoms)
+	}
+	return true, ""
 }
 
 // Config carries the chooser's parameters.
@@ -102,13 +122,7 @@ func applicable(mech string, s Shape) (bool, string) {
 		if s.SignedSum || s.GroupBy {
 			return false, "signed split and group-by require r2t"
 		}
-		if s.SelfJoin {
-			return false, "self-join: naive truncation is not DP-safe (Example 1.2)"
-		}
-		if s.Projection {
-			return false, "projection: naive truncation does not support SPJA"
-		}
-		return true, ""
+		return NaiveApplicable(s)
 	}
 	return false, fmt.Sprintf("unknown mechanism %q", mech)
 }

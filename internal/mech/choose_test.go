@@ -49,6 +49,7 @@ func TestChooseStructuralRejections(t *testing.T) {
 		{MechFixedTau, Shape{GroupBy: true}},
 		{MechLS, Shape{SelfJoin: true}},
 		{MechLS, Shape{Projection: true}},
+		{MechLS, Shape{PrivateAtoms: 2}},
 		{MechLS, Shape{SignedSum: true}},
 		{MechLS, Shape{GroupBy: true}},
 	}
@@ -63,7 +64,7 @@ func TestChooseStructuralRejections(t *testing.T) {
 		}
 	}
 	// r2t applies to every shape.
-	for _, s := range []Shape{{}, {SelfJoin: true}, {Projection: true}, {SignedSum: true}, {GroupBy: true}} {
+	for _, s := range []Shape{{}, {SelfJoin: true}, {Projection: true}, {PrivateAtoms: 2}, {SignedSum: true}, {GroupBy: true}} {
 		if _, err := Choose(s, Config{Mechanism: MechR2T, Epsilon: 1, GSQ: 16}); err != nil {
 			t.Errorf("r2t on %+v: %v", s, err)
 		}

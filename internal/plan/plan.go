@@ -65,6 +65,18 @@ func (p *Plan) SelfJoin() bool {
 	return false
 }
 
+// PrivateAtoms counts the atoms over a primary private relation: the most
+// individuals one join result can reference.
+func (p *Plan) PrivateAtoms() int {
+	n := 0
+	for _, pk := range p.PrivPK {
+		if pk >= 0 {
+			n++
+		}
+	}
+	return n
+}
+
 // ColVar returns the variable id bound to a user column reference, or -1.
 func (p *Plan) ColVar(c sql.ColRef) int {
 	if v, ok := p.colVar[c]; ok {

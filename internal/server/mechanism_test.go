@@ -3,6 +3,7 @@ package server
 import (
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -118,5 +119,49 @@ func TestServerInvalidDefaultMechanism(t *testing.T) {
 	cfg.Datasets[0].DefaultMechanism = "bogus"
 	if _, err := New(cfg); err == nil || !strings.Contains(err.Error(), "default mechanism") {
 		t.Fatalf("err = %v", err)
+	}
+}
+
+// TestServerNaiveShapeRejected: ls on a query with two primary-private atoms
+// — every order references a customer and a supplier — is refused with HTTP
+// 400 before the charge, with data in the tables (where naive truncation
+// would fail after the charge) and the ledger untouched.
+func TestServerNaiveShapeRejected(t *testing.T) {
+	dir := t.TempDir()
+	for name, body := range map[string]string{
+		"shop.schema":  "Customer(CK*)\nSupplier(SK*)\nOrders(OK*, CK->Customer, SK->Supplier)\n",
+		"Customer.csv": "CK\n1\n2\n",
+		"Supplier.csv": "SK\n1\n",
+		"Orders.csv":   "OK,CK,SK\n1,1,1\n2,2,1\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := New(Config{
+		Datasets: []DatasetConfig{{
+			Name: "shop", SchemaPath: filepath.Join(dir, "shop.schema"), DataDir: dir,
+			Epsilon: 10, Primary: []string{"Customer", "Supplier"},
+		}},
+		LedgerPath: filepath.Join(dir, "budget.ledger"),
+		Seed:       42,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	c := &testClient{t: t, url: ts.URL}
+
+	code, _, fe := c.query(`{"dataset":"shop","sql":"SELECT COUNT(*) FROM Orders","epsilon":1,"gsq":16,"mechanism":"ls"}`)
+	if code != http.StatusBadRequest || !strings.Contains(fe.Error, "primary-private atoms") {
+		t.Fatalf("ls with two primaries: HTTP %d (%s), want 400", code, fe.Error)
+	}
+	if fe.EpsilonRemaining == nil || *fe.EpsilonRemaining != 10 {
+		t.Fatalf("refused request touched the budget: remaining %v", fe.EpsilonRemaining)
+	}
+	code, r, _ := c.query(`{"dataset":"shop","sql":"SELECT COUNT(*) FROM Orders","epsilon":1,"gsq":16}`)
+	if code != http.StatusOK || r.EpsilonSpent != 1 {
+		t.Fatalf("r2t after the refusal: HTTP %d, spent %g, want 200 with this release's ε only", code, r.EpsilonSpent)
 	}
 }

@@ -78,7 +78,7 @@ func TestAllQueriesRun(t *testing.T) {
 			t.Errorf("%s: zero sensitivity", q.Name)
 		}
 		t.Logf("%s: Q(I)=%.0f, individuals=%d, DS/IS=%.0f, rows=%d",
-			q.Name, res.TrueAnswer(), res.NumIndividuals(), res.MaxTupleSensitivity(), len(res.Rows))
+			q.Name, res.TrueAnswer(), len(res.Universe), res.MaxTupleSensitivity(), len(res.Rows))
 	}
 }
 

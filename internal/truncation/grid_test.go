@@ -1,14 +1,16 @@
 package truncation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sort"
 	"testing"
 	"unsafe"
 
-	"r2t/internal/exec"
 	"r2t/internal/lp"
-	"r2t/internal/value"
 )
 
 // raceTaus mirrors core.Run's schedule: the power-of-two ladder, plus 0 and
@@ -92,79 +94,39 @@ func TestBounderBitIdenticalToLegacy(t *testing.T) {
 	}
 }
 
-// refRow describes one join result by its ψ and resolved individuals.
-type refRow struct {
-	Psi  float64
-	Refs []exec.TupleRef
-}
-
-// refResult builds an exec.Result from (ψ, individual-name) rows, interning
-// the refs in encounter order the way the executor does.
-func refResult(rows []refRow) *exec.Result {
-	res := &exec.Result{}
-	ids := make(map[exec.TupleRef]int32)
-	for _, r := range rows {
-		jr := exec.JoinRow{Psi: r.Psi}
-		for _, ref := range r.Refs {
-			id, ok := ids[ref]
-			if !ok {
-				id = int32(len(res.Universe))
-				ids[ref] = id
-				res.Universe = append(res.Universe, ref)
-			}
-			jr.RefIDs = append(jr.RefIDs, id)
-		}
-		res.Rows = append(res.Rows, jr)
+// rowMultiset renders o's rows — ψ bits and raw ids — in sorted order, so two
+// forms compare equal exactly when they hold the same rows under the same
+// numbering, whatever their row order.
+func rowMultiset(o *Occurrences) []string {
+	out := make([]string, len(o.Rows))
+	for k, row := range o.Rows {
+		out[k] = fmt.Sprintf("%x %v", math.Float64bits(row.Psi), row.RefIDs)
 	}
-	return res
+	sort.Strings(out)
+	return out
 }
 
 func TestFromResultDeterministicUnderShuffle(t *testing.T) {
-	// The TupleRef → dense id renaming must not depend on encounter order:
-	// shuffling the result rows yields the same ids for the same individuals.
+	// The executor numbers individuals canonically, never by encounter order:
+	// the same edges inserted in another order — so the join meets rows and
+	// individuals in another order — give the same universe and the same ids
+	// for the same individuals.
 	rng := rand.New(rand.NewSource(61))
-	ref := func(rel string, key int64) exec.TupleRef {
-		return exec.TupleRef{Rel: rel, Key: value.IntV(key)}
-	}
 	for trial := 0; trial < 25; trial++ {
-		nRows := 1 + rng.Intn(40)
-		rows := make([]refRow, nRows)
-		for k := range rows {
-			nRefs := 1 + rng.Intn(4)
-			refs := make([]exec.TupleRef, nRefs)
-			for i := range refs {
-				rel := "Node"
-				if rng.Intn(3) == 0 {
-					rel = "User"
-				}
-				refs[i] = ref(rel, int64(rng.Intn(12)))
+		n, edges := randomGraph(rng)
+		shuffled := slices.Clone(edges)
+		rng.Shuffle(len(shuffled), func(i, j int) {
+			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
+			shuffled[i][0], shuffled[i][1] = shuffled[i][1], shuffled[i][0]
+		})
+		for _, src := range []string{edgeCountSQL, triangleSQL} {
+			base := FromResult(runQuery(t, src, graphInstance(n, edges)))
+			got := FromResult(runQuery(t, src, graphInstance(n, shuffled)))
+			if !reflect.DeepEqual(got.Universe, base.Universe) {
+				t.Fatalf("trial %d: universe %v != %v", trial, got.Universe, base.Universe)
 			}
-			rows[k] = refRow{Psi: float64(1 + rng.Intn(4)), Refs: refs}
-		}
-		base := FromResult(refResult(rows))
-
-		perm := rng.Perm(nRows)
-		shuffled := make([]refRow, nRows)
-		for i, p := range perm {
-			shuffled[i] = rows[p]
-		}
-		got := FromResult(refResult(shuffled))
-
-		if got.NumIndividuals != base.NumIndividuals {
-			t.Fatalf("trial %d: individuals %d != %d", trial, got.NumIndividuals, base.NumIndividuals)
-		}
-		for i, p := range perm {
-			if got.Psi[i] != base.Psi[p] {
-				t.Fatalf("trial %d: ψ mismatch at row %d", trial, i)
-			}
-			if len(got.Sets[i]) != len(base.Sets[p]) {
-				t.Fatalf("trial %d: set size mismatch at row %d", trial, i)
-			}
-			for j := range got.Sets[i] {
-				if got.Sets[i][j] != base.Sets[p][j] {
-					t.Fatalf("trial %d row %d: id %d != %d — renaming depends on encounter order",
-						trial, i, got.Sets[i][j], base.Sets[p][j])
-				}
+			if g, b := rowMultiset(got), rowMultiset(base); !reflect.DeepEqual(g, b) {
+				t.Fatalf("trial %d: rows %v != %v — renaming depends on encounter order", trial, g, b)
 			}
 		}
 	}
@@ -174,22 +136,19 @@ func TestFromResultSetsShareBacking(t *testing.T) {
 	// The per-row sets are views of one backing array (the per-row allocation
 	// was the hot path for large SJA results): consecutive rows must sit
 	// contiguously in memory, and each set must be capped at its own length.
-	ref := func(key int64) exec.TupleRef {
-		return exec.TupleRef{Rel: "Node", Key: value.IntV(key)}
-	}
-	res := refResult([]refRow{
-		{Psi: 1, Refs: []exec.TupleRef{ref(3), ref(1)}},
-		{Psi: 1, Refs: []exec.TupleRef{ref(2)}},
-		{Psi: 1, Refs: []exec.TupleRef{ref(1), ref(0), ref(2)}},
-	})
+	// FromResult hands the executor's form over as is.
+	res := runQuery(t, edgeCountSQL, graphInstance(5, [][2]int{{3, 1}, {1, 2}, {0, 2}, {4, 0}}))
 	o := FromResult(res)
-	for k, s := range o.Sets {
-		if cap(s) != len(s) {
+	if o != res || len(o.Rows) != 4 {
+		t.Fatalf("FromResult copied the view or lost rows: %d rows", len(o.Rows))
+	}
+	for k, row := range o.Rows {
+		if s := row.RefIDs; cap(s) != len(s) {
 			t.Fatalf("set %d: cap %d > len %d (append could clobber the next row)", k, cap(s), len(s))
 		}
 	}
-	for k := 1; k < len(o.Sets); k++ {
-		prev, cur := o.Sets[k-1], o.Sets[k]
+	for k := 1; k < len(o.Rows); k++ {
+		prev, cur := o.Rows[k-1].RefIDs, o.Rows[k].RefIDs
 		end := uintptr(unsafe.Pointer(&prev[len(prev)-1])) + unsafe.Sizeof(int32(0))
 		if uintptr(unsafe.Pointer(&cur[0])) != end {
 			t.Fatalf("rows %d and %d are not contiguous: sets do not share one backing array", k-1, k)

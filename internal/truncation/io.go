@@ -4,8 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // WriteOccurrences serializes the occurrence form as the text handoff of the
@@ -19,14 +17,14 @@ import (
 //	#group <psi_l> <occ> <occ> ... (one line per projection group, SPJA only)
 func WriteOccurrences(w io.Writer, o *Occurrences) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "#individuals %d\n", o.NumIndividuals); err != nil {
+	if _, err := fmt.Fprintf(bw, "#individuals %d\n", len(o.Universe)); err != nil {
 		return err
 	}
-	for k, set := range o.Sets {
-		if _, err := fmt.Fprintf(bw, "%g", o.PsiAt(k)); err != nil {
+	for _, row := range o.Rows {
+		if _, err := fmt.Fprintf(bw, "%g", row.Psi); err != nil {
 			return err
 		}
-		for _, j := range set {
+		for _, j := range row.RefIDs {
 			if _, err := fmt.Fprintf(bw, " %d", j); err != nil {
 				return err
 			}
@@ -49,79 +47,4 @@ func WriteOccurrences(w io.Writer, o *Occurrences) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ReadOccurrences parses the WriteOccurrences format.
-func ReadOccurrences(r io.Reader) (*Occurrences, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<24)
-	o := &Occurrences{}
-	line := 0
-	seenHeader := false
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		fields := strings.Fields(text)
-		switch {
-		case fields[0] == "#individuals":
-			if len(fields) != 2 {
-				return nil, fmt.Errorf("truncation: line %d: malformed #individuals", line)
-			}
-			n, err := strconv.Atoi(fields[1])
-			if err != nil || n < 0 {
-				return nil, fmt.Errorf("truncation: line %d: bad individual count %q", line, fields[1])
-			}
-			o.NumIndividuals = n
-			seenHeader = true
-		case fields[0] == "#group":
-			if len(fields) < 2 {
-				return nil, fmt.Errorf("truncation: line %d: malformed #group", line)
-			}
-			psi, err := strconv.ParseFloat(fields[1], 64)
-			if err != nil {
-				return nil, fmt.Errorf("truncation: line %d: bad group ψ %q", line, fields[1])
-			}
-			var group []int
-			for _, f := range fields[2:] {
-				k, err := strconv.Atoi(f)
-				if err != nil || k < 0 || k >= len(o.Sets) {
-					return nil, fmt.Errorf("truncation: line %d: bad occurrence index %q", line, f)
-				}
-				group = append(group, k)
-			}
-			o.Groups = append(o.Groups, group)
-			o.GroupPsi = append(o.GroupPsi, psi)
-		default:
-			if !seenHeader {
-				return nil, fmt.Errorf("truncation: line %d: missing #individuals header", line)
-			}
-			psi, err := strconv.ParseFloat(fields[0], 64)
-			if err != nil {
-				return nil, fmt.Errorf("truncation: line %d: bad ψ %q", line, fields[0])
-			}
-			set := make([]int32, 0, len(fields)-1)
-			for _, f := range fields[1:] {
-				j, err := strconv.Atoi(f)
-				if err != nil || j < 0 || j >= o.NumIndividuals {
-					return nil, fmt.Errorf("truncation: line %d: bad individual id %q", line, f)
-				}
-				set = append(set, int32(j))
-			}
-			o.Sets = append(o.Sets, set)
-			if o.Psi == nil {
-				o.Psi = make([]float64, 0, 1024)
-			}
-			o.Psi = append(o.Psi, psi)
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if !seenHeader {
-		return nil, fmt.Errorf("truncation: empty occurrence stream")
-	}
-	return o, nil
 }

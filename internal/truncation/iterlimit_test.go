@@ -10,13 +10,13 @@ import (
 // cliqueOccurrences builds the edge-count occurrence form of a k-clique —
 // enough pivots that MaxIters=1 cannot reach optimality.
 func cliqueOccurrences(k int) *Occurrences {
-	o := &Occurrences{NumIndividuals: k}
+	var sets [][]int32
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			o.Sets = append(o.Sets, []int32{int32(i), int32(j)})
+			sets = append(sets, []int32{int32(i), int32(j)})
 		}
 	}
-	return o
+	return occurrences(k, sets, nil)
 }
 
 // TestIterationLimitPropagatesAsError: when the LP solver exhausts its

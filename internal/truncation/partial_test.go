@@ -9,32 +9,35 @@ import (
 
 // splitByOwner partitions an occurrence instance across k shards by hashing
 // the owning individual, renaming individuals densely per shard (ascending,
-// mirroring FromResult's deterministic rename). Free rows (no individual) go
+// mirroring the executor's canonical numbering). Free rows (no individual) go
 // to shard 0 — any placement is valid, the free mass just sums.
 func splitByOwner(o *Occurrences, k int) []*Occurrences {
 	owner := func(j int32) int { return int((uint32(j) * 2654435761) % uint32(k)) }
-	shards := make([]*Occurrences, k)
+	sets := make([][][]int32, k)
+	psi := make([][]float64, k)
 	renames := make([]map[int32]int32, k)
-	for s := range shards {
-		shards[s] = &Occurrences{}
+	for s := range renames {
 		renames[s] = make(map[int32]int32)
 	}
 	// Dense per-shard individual ids, assigned in ascending global order so
-	// the per-shard order matches FromResult's sorted rename.
-	for j := int32(0); j < int32(o.NumIndividuals); j++ {
-		s := owner(j)
-		renames[s][j] = int32(shards[s].NumIndividuals)
-		shards[s].NumIndividuals++
+	// the per-shard order matches the executor's canonical one.
+	for j := range o.Universe {
+		s := owner(int32(j))
+		renames[s][int32(j)] = int32(len(renames[s]))
 	}
-	for kIdx, set := range o.Sets {
+	for _, row := range o.Rows {
 		s := 0
 		var renamed []int32
-		if len(set) == 1 {
-			s = owner(set[0])
-			renamed = []int32{renames[s][set[0]]}
+		if len(row.RefIDs) == 1 {
+			s = owner(row.RefIDs[0])
+			renamed = []int32{renames[s][row.RefIDs[0]]}
 		}
-		shards[s].Sets = append(shards[s].Sets, renamed)
-		shards[s].Psi = append(shards[s].Psi, o.PsiAt(kIdx))
+		sets[s] = append(sets[s], renamed)
+		psi[s] = append(psi[s], row.Psi)
+	}
+	shards := make([]*Occurrences, k)
+	for s := range shards {
+		shards[s] = occurrences(len(renames[s]), sets[s], psi[s])
 	}
 	return shards
 }
@@ -42,7 +45,8 @@ func splitByOwner(o *Occurrences, k int) []*Occurrences {
 func randomPartitionInstance(rng *rand.Rand, integral bool) *Occurrences {
 	n := 1 + rng.Intn(40)
 	rows := rng.Intn(300)
-	o := &Occurrences{NumIndividuals: n}
+	var sets [][]int32
+	var psi []float64
 	for k := 0; k < rows; k++ {
 		var set []int32
 		if rng.Float64() < 0.9 {
@@ -54,10 +58,10 @@ func randomPartitionInstance(rng *rand.Rand, integral bool) *Occurrences {
 		} else {
 			w = rng.Float64() * 10
 		}
-		o.Sets = append(o.Sets, set)
-		o.Psi = append(o.Psi, w)
+		sets = append(sets, set)
+		psi = append(psi, w)
 	}
-	return o
+	return occurrences(n, sets, psi)
 }
 
 // partialOf is what a shard ships for its slice: the one occurrence scan, then
@@ -227,7 +231,7 @@ func TestPartialRejectsUnmergeableShapes(t *testing.T) {
 }
 
 func TestPartitionMergedValueValidation(t *testing.T) {
-	m, err := MergePartials([]*Partial{partialOf(t, &Occurrences{NumIndividuals: 1, Sets: [][]int32{{0}}})})
+	m, err := MergePartials([]*Partial{partialOf(t, occurrences(1, [][]int32{{0}}, nil))})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,11 +103,11 @@ func NewPartitionFromOccurrences(o *Occurrences) *PartitionTruncator {
 		return nil // SPJA group rows couple variables across individuals
 	}
 	p := &Partial{IntExact: true}
-	psi := make([]float64, 0, len(o.Sets))
-	owner := make([]int32, 0, len(o.Sets))
-	sum := make([]float64, o.NumIndividuals)
-	for k, set := range o.Sets {
-		w := o.PsiAt(k)
+	psi := make([]float64, 0, len(o.Rows))
+	owner := make([]int32, 0, len(o.Rows))
+	sum := make([]float64, len(o.Universe))
+	for _, row := range o.Rows {
+		w, set := row.Psi, row.RefIDs
 		if w <= 0 {
 			continue // dropped by the LP build; not a variable
 		}
@@ -134,10 +134,12 @@ func NewPartitionFromOccurrences(o *Occurrences) *PartitionTruncator {
 		}
 		p.Total += w
 	}
-	p.Answer, p.TauStar, p.NumResults = o.TrueAnswer(), o.MaxSensitivity(), len(psi)
+	// Q(I) and τ* over the variables, as the LP operator takes them.
+	p.Answer, p.NumResults = p.Total, len(psi)
 	for _, s := range sum {
 		if s > 0 {
 			p.Sorted = append(p.Sorted, s) // merge sorts
+			p.TauStar = max(p.TauStar, s)
 		}
 	}
 	t := merge([]*Partial{p})

@@ -11,14 +11,14 @@ import (
 // partitionOcc builds a single-owner Occurrences instance: n occurrences,
 // owner k%individuals each, weights from weight(k) (nil = all 1).
 func partitionOcc(n, individuals int, weight func(int) float64) *Occurrences {
-	o := &Occurrences{NumIndividuals: individuals}
-	for k := 0; k < n; k++ {
-		o.Sets = append(o.Sets, []int32{int32(k % individuals)})
+	sets := make([][]int32, n)
+	for k := range sets {
+		sets[k] = []int32{int32(k % individuals)}
 	}
+	o := occurrences(individuals, sets, nil)
 	if weight != nil {
-		o.Psi = make([]float64, n)
-		for k := range o.Psi {
-			o.Psi[k] = weight(k)
+		for k := range o.Rows {
+			o.Rows[k].Psi = weight(k)
 		}
 	}
 	return o
@@ -30,7 +30,7 @@ func TestPartitionDetection(t *testing.T) {
 	}
 	// Shared provenance (a set naming two individuals) disqualifies.
 	o := partitionOcc(10, 3, nil)
-	o.Sets[4] = []int32{0, 1}
+	o.Rows[4].RefIDs = []int32{0, 1}
 	if NewPartitionFromOccurrences(o) != nil {
 		t.Fatal("shared provenance must fall back to the LP")
 	}
@@ -53,7 +53,7 @@ func TestPartitionDetection(t *testing.T) {
 	}
 	// Empty sets (no capacity row) and ψ ≤ 0 occurrences are fine.
 	o = partitionOcc(6, 2, func(k int) float64 { return float64(k - 1) })
-	o.Sets[5] = nil
+	o.Rows[5].RefIDs = nil
 	tr := NewPartitionFromOccurrences(o)
 	if tr == nil {
 		t.Fatal("free variables and nonpositive ψ must not disqualify")
@@ -138,9 +138,9 @@ func TestPartitionMatchesLPIntegerWeights(t *testing.T) {
 		ind := 1 + rng.Intn(8)
 		o := partitionOcc(n, ind, func(int) float64 { return float64(rng.Intn(9)) })
 		// Scatter some free (no capacity row) variables.
-		for k := range o.Sets {
+		for k := range o.Rows {
 			if rng.Intn(7) == 0 {
-				o.Sets[k] = nil
+				o.Rows[k].RefIDs = nil
 			}
 		}
 		checkEquivalence(t, o, grid(10))

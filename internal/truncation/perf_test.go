@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"r2t/internal/exec"
 	"r2t/internal/graph"
 )
 
@@ -14,7 +15,7 @@ func TestWedgeLPPerformance(t *testing.T) {
 		t.Skip("short mode")
 	}
 	g := graph.GenSocial(300, 1200, 56, 7)
-	occ := &Occurrences{NumIndividuals: g.N, Sets: graph.Occurrences(g, graph.Paths2)}
+	occ := exec.FromSets("Node", g.N, graph.Occurrences(g, graph.Paths2))
 	tr := NewLPFromOccurrences(occ)
 	t.Logf("wedges: %d vars, %d individuals, τ*=%g", tr.NumVariables(), tr.NumCapacityRows(), tr.TauStar())
 	for _, tau := range []float64{2, 16, 128, 2048} {

@@ -5,13 +5,26 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"r2t/internal/exec"
 )
+
+// occurrences builds an occurrence form over n densely numbered individuals
+// from per-row id sets and weights (nil psi: every weight 1).
+func occurrences(n int, sets [][]int32, psi []float64) *Occurrences {
+	o := exec.FromSets("t", n, sets)
+	for k, w := range psi {
+		o.Rows[k].Psi = w
+	}
+	return o
+}
 
 // randomOccurrences draws a random SJA workload in occurrence form.
 func randomOccurrences(rng *rand.Rand) *Occurrences {
 	n := 2 + rng.Intn(8)
 	m := 1 + rng.Intn(30)
-	o := &Occurrences{NumIndividuals: n}
+	var sets [][]int32
+	var psi []float64
 	for k := 0; k < m; k++ {
 		maxSize := 3
 		if n < maxSize {
@@ -27,13 +40,10 @@ func randomOccurrences(rng *rand.Rand) *Occurrences {
 				set = append(set, j)
 			}
 		}
-		o.Sets = append(o.Sets, set)
-		if o.Psi == nil {
-			o.Psi = []float64{}
-		}
-		o.Psi = append(o.Psi, float64(rng.Intn(5)))
+		sets = append(sets, set)
+		psi = append(psi, float64(rng.Intn(5)))
 	}
-	return o
+	return occurrences(n, sets, psi)
 }
 
 // TestQuickLPTruncatorInvariants property-checks the LP operator on random

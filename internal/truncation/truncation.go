@@ -22,7 +22,6 @@ import (
 	"r2t/internal/exec"
 	"r2t/internal/lp"
 	"r2t/internal/obs"
-	"r2t/internal/value"
 )
 
 // Truncator computes the truncated query value Q(I,τ) for any τ ≥ 0.
@@ -55,81 +54,42 @@ type LPTruncator struct {
 	gridErr  error
 }
 
-// Occurrences is the minimal input the LP truncator needs: one entry per
-// join result q_k with its weight ψ(q_k) and the (integer-renamed) set of
-// individuals it references. Workload generators that bypass the SQL engine
-// (the graph pattern enumerators) produce this form directly.
-type Occurrences struct {
-	NumIndividuals int
-	Sets           [][]int32 // referencing individuals per occurrence
-	Psi            []float64 // nil means all weights are 1
-	// Groups/GroupPsi describe the SPJA projection structure (nil for SJA):
-	// Groups[l] lists occurrence indices whose projection is p_l.
-	Groups   [][]int
-	GroupPsi []float64
-}
+// Occurrences is the occurrence form every operator reads: one row per join
+// result q_k with its weight ψ(q_k) and the dense ids of the individuals it
+// references, plus the SPJA projection groups. It is exec.Result — the
+// executor emits it directly, with canonically numbered individuals, and
+// generators that bypass the SQL engine build it with exec.FromSets.
+type Occurrences = exec.Result
 
-// psiAt returns ψ of occurrence k.
-func (o *Occurrences) PsiAt(k int) float64 {
-	if o.Psi == nil {
-		return 1
-	}
-	return o.Psi[k]
-}
+// FromResult returns res: an executor view already is the occurrence form.
+func FromResult(res *exec.Result) *Occurrences { return res }
 
-// TrueAnswer computes Q(I) from the occurrence form.
-func (o *Occurrences) TrueAnswer() float64 {
-	var s float64
-	if o.Groups != nil {
-		for _, w := range o.GroupPsi {
-			s += w
-		}
-		return s
-	}
-	for k := range o.Sets {
-		s += o.PsiAt(k)
-	}
-	return s
-}
-
-// MaxSensitivity computes max_j S_Q(I, t_j) over individuals.
-func (o *Occurrences) MaxSensitivity() float64 {
-	sens := make([]float64, o.NumIndividuals)
-	for k, set := range o.Sets {
-		w := o.PsiAt(k)
-		for _, j := range set {
-			sens[j] += w
-		}
-	}
-	var m float64
-	for _, s := range sens {
-		if s > m {
-			m = s
-		}
-	}
-	return m
-}
-
-// NewLPFromOccurrences builds the LP truncation operator from occurrence sets.
+// NewLPFromOccurrences builds the LP truncation operator: one variable per
+// join result with ψ > 0 in row order, one capacity row per referenced
+// individual in id order, and one group row per projected result. Q(I) and
+// τ* come from the same pass, over the variables: Value(τ) reaches Q(I) at
+// τ = τ*.
 func NewLPFromOccurrences(o *Occurrences) *LPTruncator {
-	t := &LPTruncator{answer: o.TrueAnswer(), tauStar: o.MaxSensitivity()}
-
-	varOf := make([]int, len(o.Sets))
-	for k := range o.Sets {
+	t := &LPTruncator{}
+	varOf := make([]int, len(o.Rows))
+	cap := make([][]int, len(o.Universe))
+	sens := make([]float64, len(o.Universe))
+	for k, row := range o.Rows {
 		varOf[k] = -1
-		if w := o.PsiAt(k); w > 0 {
-			varOf[k] = len(t.psi)
+		if w := row.Psi; w > 0 {
+			v := len(t.psi)
+			varOf[k] = v
 			t.psi = append(t.psi, w)
+			t.answer += w
+			for _, j := range row.RefIDs {
+				cap[j] = append(cap[j], v)
+				sens[j] += w
+			}
 		}
 	}
-	cap := make([][]int, o.NumIndividuals)
-	for k, set := range o.Sets {
-		v := varOf[k]
-		if v < 0 {
-			continue
-		}
-		for _, j := range set {
-			cap[j] = append(cap[j], v)
+	for _, s := range sens {
+		if s > t.tauStar {
+			t.tauStar = s
 		}
 	}
 	for _, row := range cap {
@@ -138,6 +98,7 @@ func NewLPFromOccurrences(o *Occurrences) *LPTruncator {
 		}
 	}
 	if o.Groups != nil {
+		t.answer = 0
 		for l, group := range o.Groups {
 			var vars []int
 			for _, k := range group {
@@ -147,73 +108,10 @@ func NewLPFromOccurrences(o *Occurrences) *LPTruncator {
 			}
 			t.grpRows = append(t.grpRows, vars)
 			t.grpB = append(t.grpB, o.GroupPsi[l])
+			t.answer += o.GroupPsi[l]
 		}
 	}
 	return t
-}
-
-// FromResult converts an evaluated query into occurrence form, renaming
-// TupleRefs to dense individual ids (deterministically, sorted).
-//
-// The executor already interns refs (Result.Universe + per-row RefIDs), so
-// the conversion never hashes a TupleRef: it restricts the universe to the
-// ids that occur in res.Rows (shared-universe results — Split halves,
-// PartitionedResult partitions — may reference only a subset), sorts those, and
-// renames each row's ids through the resulting permutation.
-func FromResult(res *exec.Result) *Occurrences {
-	occurs := make([]bool, len(res.Universe))
-	total := 0
-	for _, row := range res.Rows {
-		total += len(row.RefIDs)
-		for _, id := range row.RefIDs {
-			occurs[id] = true
-		}
-	}
-	present := make([]int32, 0, len(res.Universe))
-	for id, ok := range occurs {
-		if ok {
-			present = append(present, int32(id))
-		}
-	}
-	sort.Slice(present, func(i, j int) bool {
-		a, b := res.Universe[present[i]], res.Universe[present[j]]
-		if a.Rel != b.Rel {
-			return a.Rel < b.Rel
-		}
-		return value.Less(a.Key, b.Key)
-	})
-	rename := make([]int32, len(res.Universe))
-	for dense, id := range present {
-		rename[id] = int32(dense)
-	}
-
-	o := &Occurrences{NumIndividuals: len(present)}
-	o.Sets = make([][]int32, len(res.Rows))
-	o.Psi = make([]float64, len(res.Rows))
-	// One backing array for all per-row id sets: large SJA results have
-	// millions of tiny ref slices, and individual allocations dominate the
-	// conversion cost.
-	back := make([]int32, total)
-	off := 0
-	for k, row := range res.Rows {
-		set := back[off : off+len(row.RefIDs) : off+len(row.RefIDs)]
-		off += len(row.RefIDs)
-		for i, id := range row.RefIDs {
-			set[i] = rename[id]
-		}
-		o.Sets[k] = set
-		o.Psi[k] = row.Psi
-	}
-	if res.IsProjection {
-		o.Groups = res.Groups
-		o.GroupPsi = res.GroupPsi
-	}
-	return o
-}
-
-// NewLP builds the LP truncation operator from an evaluated query.
-func NewLP(res *exec.Result) *LPTruncator {
-	return NewLPFromOccurrences(FromResult(res))
 }
 
 // problem instantiates the packing LP for a given τ.
@@ -362,38 +260,32 @@ func (t *LPTruncator) NumCapacityRows() int { return len(t.capRows) }
 // NaiveTruncator removes whole individuals whose sensitivity exceeds τ and
 // sums the rest. It is a valid R2T truncator only for self-join-free SJA
 // queries, where each join result references exactly one individual
-// (Section 6); Example 1.2 shows it is not DP-safe with self-joins, so NewNaive
-// rejects those inputs.
+// (Section 6); Example 1.2 shows it is not DP-safe with self-joins, so
+// NewNaiveFromOccurrences rejects those inputs.
 type NaiveTruncator struct {
 	sens   []float64 // per-individual sensitivities, ascending
 	prefix []float64 // prefix sums of sens
 	answer float64
 }
 
-// NewNaive builds the operator; it fails if any join result references more
-// than one individual (a self-join) or the query has a projection.
-func NewNaive(res *exec.Result) (*NaiveTruncator, error) {
-	return NewNaiveFromOccurrences(FromResult(res))
-}
-
-// NewNaiveFromOccurrences builds the naive operator from occurrence form,
-// with the same self-join-free requirement as NewNaive.
+// NewNaiveFromOccurrences builds the naive operator; it fails if any join
+// result references more than one individual (a self-join) or the query has
+// a projection.
 func NewNaiveFromOccurrences(o *Occurrences) (*NaiveTruncator, error) {
 	if o.Groups != nil {
 		return nil, fmt.Errorf("truncation: naive truncation does not support projection queries")
 	}
-	for _, set := range o.Sets {
-		if len(set) > 1 {
-			return nil, fmt.Errorf("truncation: naive truncation requires a self-join-free query (a join result references %d individuals)", len(set))
+	n := &NaiveTruncator{}
+	sens := make([]float64, len(o.Universe))
+	for _, row := range o.Rows {
+		if len(row.RefIDs) > 1 {
+			return nil, fmt.Errorf("truncation: naive truncation requires a self-join-free query (a join result references %d individuals)", len(row.RefIDs))
+		}
+		n.answer += row.Psi
+		for _, j := range row.RefIDs {
+			sens[j] += row.Psi
 		}
 	}
-	sens := make([]float64, o.NumIndividuals)
-	for k, set := range o.Sets {
-		for _, j := range set {
-			sens[j] += o.PsiAt(k)
-		}
-	}
-	n := &NaiveTruncator{answer: o.TrueAnswer()}
 	for _, s := range sens {
 		if s > 0 {
 			n.sens = append(n.sens, s)

@@ -105,7 +105,7 @@ func TestExample62(t *testing.T) {
 	if got := res.TrueAnswer(); got != 9992 {
 		t.Fatalf("Q(I) = %g, want 9992", got)
 	}
-	tr := NewLP(res)
+	tr := NewLPFromOccurrences(res)
 	want := map[float64]float64{0: 0, 2: 7222, 4: 9444, 8: 9888, 16: 9976, 32: 9992, 64: 9992, 256: 9992}
 	for tau, exp := range want {
 		got, err := tr.Value(tau)
@@ -146,7 +146,7 @@ func TestLPProperties(t *testing.T) {
 		inst := graphInstance(n, edges)
 		for _, src := range []string{edgeCountSQL, triangleSQL} {
 			res := runQuery(t, src, inst)
-			tr := NewLP(res)
+			tr := NewLPFromOccurrences(res)
 			answer := tr.TrueAnswer()
 			prev := -1.0
 			vals := make(map[float64]float64)
@@ -175,7 +175,7 @@ func TestLPProperties(t *testing.T) {
 					t.Fatal(err)
 				}
 				nres := runQuery(t, src, nb)
-				ntr := NewLP(nres)
+				ntr := NewLPFromOccurrences(nres)
 				for _, tau := range taus {
 					nv, err := ntr.Value(tau)
 					if err != nil {
@@ -218,7 +218,7 @@ func TestNaiveMatchesClosedFormSelfJoinFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	nt, err := NewNaive(res)
+	nt, err := NewNaiveFromOccurrences(res)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestNaiveMatchesClosedFormSelfJoinFree(t *testing.T) {
 
 	// The LP truncator dominates naive truncation pointwise (it caps rather
 	// than drops) and agrees at τ ≥ τ*.
-	ltr := NewLP(res)
+	ltr := NewLPFromOccurrences(res)
 	for tau := 0.0; tau <= 12; tau++ {
 		lv, err := ltr.Value(tau)
 		if err != nil {
@@ -260,7 +260,7 @@ func TestNaiveMatchesClosedFormSelfJoinFree(t *testing.T) {
 func TestNaiveRejectsSelfJoins(t *testing.T) {
 	inst := graphInstance(4, [][2]int{{0, 1}, {1, 2}})
 	res := runQuery(t, edgeCountSQL, inst)
-	if _, err := NewNaive(res); err == nil {
+	if _, err := NewNaiveFromOccurrences(res); err == nil {
 		t.Fatal("naive truncation must reject self-join results")
 	}
 }
@@ -289,7 +289,7 @@ func TestSPJAProjectionLP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := NewLP(res)
+	tr := NewLPFromOccurrences(res)
 	if tr.TauStar() != m {
 		t.Fatalf("τ* = %g, want IS = %d", tr.TauStar(), m)
 	}
@@ -315,7 +315,7 @@ func TestSPJAProperty1(t *testing.T) {
 		n, edges := randomGraph(rng)
 		inst := graphInstance(n, edges)
 		res := runQuery(t, projSQL, inst)
-		tr := NewLP(res)
+		tr := NewLPFromOccurrences(res)
 		vals := map[float64]float64{}
 		for _, tau := range taus {
 			v, err := tr.Value(tau)
@@ -335,7 +335,7 @@ func TestSPJAProperty1(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ntr := NewLP(runQuery(t, projSQL, nb))
+			ntr := NewLPFromOccurrences(runQuery(t, projSQL, nb))
 			for _, tau := range taus {
 				nv, err := ntr.Value(tau)
 				if err != nil {
@@ -352,7 +352,7 @@ func TestSPJAProperty1(t *testing.T) {
 func TestBounderDominatesValue(t *testing.T) {
 	inst := example62Instance(10)
 	res := runQuery(t, edgeCountSQL, inst)
-	tr := NewLP(res)
+	tr := NewLPFromOccurrences(res)
 	for _, tau := range []float64{2, 8, 32} {
 		v, err := tr.Value(tau)
 		if err != nil {
@@ -369,7 +369,7 @@ func TestBounderDominatesValue(t *testing.T) {
 
 func TestNegativeTauRejected(t *testing.T) {
 	inst := graphInstance(3, [][2]int{{0, 1}})
-	tr := NewLP(runQuery(t, edgeCountSQL, inst))
+	tr := NewLPFromOccurrences(runQuery(t, edgeCountSQL, inst))
 	if _, err := tr.Value(-1); err == nil {
 		t.Fatal("negative τ must error")
 	}

@@ -72,7 +72,7 @@ func queryWithLP(t *testing.T, db *DB, q string, opt Options) *Answer {
 	}
 	units := make([]Unit, len(views))
 	for i, res := range views {
-		lt := truncation.NewLPFromOccurrences(truncation.FromResult(res))
+		lt := truncation.NewLPFromOccurrences(res)
 		lt.SetRecorder(p.rec)
 		units[i] = unitOf(res)
 		units[i].Op = lt
@@ -328,5 +328,63 @@ func TestBudgetNotChargedForInapplicableMechanism(t *testing.T) {
 	}
 	if budget.Spent() != 0.5 {
 		t.Fatalf("spent %g, want 0.5", budget.Spent())
+	}
+}
+
+// TestNaiveShapesRefusedBeforeCharge: naive truncation, whether reached
+// through ls or Options.Naive, is refused from the query's shape alone — two
+// primary-private atoms, or a self-join — before any ε is charged, on an
+// empty instance and a one-row instance alike. Refusing after the charge would
+// answer the empty instance and fail the other: a data-dependent bit outside
+// the ε accounting.
+func TestNaiveShapesRefusedBeforeCharge(t *testing.T) {
+	twoPrimaries := func(rows bool) *DB {
+		db := NewDB(MustSchema(
+			&Relation{Name: "Customer", Attrs: []string{"CK"}, PK: "CK"},
+			&Relation{Name: "Supplier", Attrs: []string{"SK"}, PK: "SK"},
+			&Relation{Name: "Orders", Attrs: []string{"OK", "CK", "SK"}, PK: "OK",
+				FKs: []FK{{Attr: "CK", Ref: "Customer"}, {Attr: "SK", Ref: "Supplier"}}},
+		))
+		if rows {
+			for _, ins := range []struct {
+				rel  string
+				vals []Value
+			}{{"Customer", []Value{Int(1)}}, {"Supplier", []Value{Int(1)}}, {"Orders", []Value{Int(1), Int(1), Int(1)}}} {
+				if err := db.Insert(ins.rel, ins.vals...); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return db
+	}
+	selfJoin := func(rows bool) *DB {
+		if rows {
+			return graphDB(t, [][2]int64{{0, 1}}, 2)
+		}
+		return graphDB(t, nil, 0)
+	}
+	for _, c := range []struct {
+		name string
+		db   func(rows bool) *DB
+		sql  string
+		opt  Options
+	}{
+		{"ls, two primaries", twoPrimaries, `SELECT COUNT(*) FROM Orders`, Options{Mechanism: "ls", Primary: []string{"Customer", "Supplier"}}},
+		{"naive, two primaries", twoPrimaries, `SELECT COUNT(*) FROM Orders`, Options{Naive: true, Primary: []string{"Customer", "Supplier"}}},
+		{"ls, self-join", selfJoin, edgeCount, Options{Mechanism: "ls", Primary: []string{"Node"}}},
+		{"naive, self-join", selfJoin, edgeCount, Options{Naive: true, Primary: []string{"Node"}}},
+	} {
+		for _, rows := range []bool{false, true} {
+			opt := c.opt
+			opt.Epsilon, opt.GSQ, opt.Noise = 1, 16, NewNoiseSource(1)
+			budget := MustBudget(10)
+			_, err := c.db(rows).QueryWithBudget(c.sql, opt, budget)
+			if err == nil || !strings.Contains(err.Error(), "does not apply") {
+				t.Errorf("%s (rows %v): err = %v, want a structural refusal", c.name, rows, err)
+			}
+			if budget.Spent() != 0 {
+				t.Errorf("%s (rows %v): refused request charged ε: spent %g", c.name, rows, budget.Spent())
+			}
+		}
 	}
 }

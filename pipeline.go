@@ -132,12 +132,17 @@ func (db *DB) prepare(sqlText string, opt Options, gb *groupSpec) (*Prepared, er
 	// public parameters, so it is identical on neighboring datasets (DESIGN.md
 	// §15). Under group-by it is made once for the whole release, at the
 	// per-group ε.
-	p.choice, err = mech.Choose(mech.Shape{
-		SelfJoin:   p.plan.SelfJoin(),
-		Projection: len(p.plan.ProjVars) > 0,
-		SignedSum:  p.signed,
-		GroupBy:    gb != nil,
-	}, mech.Config{
+	shape := mech.Shape{
+		SelfJoin:     p.plan.SelfJoin(),
+		Projection:   len(p.plan.ProjVars) > 0,
+		PrivateAtoms: p.plan.PrivateAtoms(),
+		SignedSum:    p.signed,
+		GroupBy:      gb != nil,
+	}
+	if ok, why := mech.NaiveApplicable(shape); opt.Naive && !ok {
+		return nil, fmt.Errorf("r2t: naive truncation does not apply to this query: %s", why)
+	}
+	p.choice, err = mech.Choose(shape, mech.Config{
 		Mechanism:   opt.Mechanism,
 		Epsilon:     p.eps,
 		GSQ:         opt.GSQ,
@@ -207,28 +212,20 @@ func (db *DB) coreFor(ctx context.Context, p *Prepared) (*exec.Core, error) {
 	return c, nil
 }
 
-// results builds the aggregate views over a join core, one per release unit
-// in release order: one for a plain query, (positive, negative) for a signed
-// split, and that per group — in group order — under group-by.
+// results builds the aggregate views over a join core in one build pass, one
+// per release unit in release order: one for a plain query, (positive,
+// negative) for a signed split, and that per group — in group order — under
+// group-by.
 func (p *Prepared) results(c *exec.Core) ([]*exec.Result, error) {
-	if p.groups == nil {
-		if p.signed {
-			pos, neg, err := c.SplitResult(p.plan, p.rec)
-			return []*exec.Result{pos, neg}, err
-		}
-		res, err := c.Result(p.plan, p.rec)
-		return []*exec.Result{res}, err
+	switch {
+	case p.groups != nil:
+		return c.PartitionedResult(p.plan, p.rec, p.groupVar, p.groups, p.signed)
+	case p.signed:
+		pos, neg, err := c.SplitResult(p.plan, p.rec)
+		return []*exec.Result{pos, neg}, err
 	}
-	parts, err := c.PartitionedResult(p.plan, p.rec, p.groupVar, p.groups, p.signed)
-	if err != nil || !p.signed {
-		return parts, err
-	}
-	halves := make([]*exec.Result, 0, 2*len(parts))
-	for _, part := range parts {
-		pos, neg := exec.Split(part)
-		halves = append(halves, pos, neg)
-	}
-	return halves, nil
+	res, err := c.Result(p.plan, p.rec)
+	return []*exec.Result{res}, err
 }
 
 // units builds each view's truncation operator — only the one the chosen
@@ -249,18 +246,17 @@ func (p *Prepared) units(c *exec.Core) ([]Unit, error) {
 		stopBuild := p.rec.Time(obs.StageTruncationBuild)
 		switch kind {
 		case mech.TruncNaive:
-			units[i].Op, err = truncation.NewNaive(res)
+			units[i].Op, err = truncation.NewNaiveFromOccurrences(res)
 		case mech.TruncLP:
 			// When the capacity rows partition the variables, the closed-form
 			// partition truncator stands in for the LP: bit-identical to it
 			// on every value (the equivalence gates enforce this).
-			occ := truncation.FromResult(res)
-			if pt := truncation.NewPartitionFromOccurrences(occ); pt != nil {
+			if pt := truncation.NewPartitionFromOccurrences(res); pt != nil {
 				pt.SetRecorder(p.rec)
 				p.rec.Add(obs.CtrPartitionFastPath, 1)
 				units[i].Op = pt
 			} else {
-				lt := truncation.NewLPFromOccurrences(occ)
+				lt := truncation.NewLPFromOccurrences(res)
 				lt.SetRecorder(p.rec)
 				units[i].Op = lt
 			}
@@ -275,12 +271,8 @@ func (p *Prepared) units(c *exec.Core) ([]Unit, error) {
 
 // unitOf starts a unit from an evaluated view: its diagnostics, no operator.
 func unitOf(res *exec.Result) Unit {
-	return Unit{
-		TrueAnswer:  res.TrueAnswer(),
-		TauStar:     res.MaxTupleSensitivity(),
-		NumResults:  len(res.Rows),
-		Individuals: res.NumIndividuals(),
-	}
+	answer, tauStar := res.Totals()
+	return Unit{TrueAnswer: answer, TauStar: tauStar, NumResults: len(res.Rows), Individuals: len(res.Universe)}
 }
 
 // MergeUnits is the router's evaluate stage: shardUnits[s] holds shard s's

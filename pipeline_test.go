@@ -33,6 +33,8 @@ const (
 	gateSigned = `SELECT SUM(o.price) FROM Customer c, Orders o WHERE c.CK = o.CK`
 	gateSelf   = `SELECT COUNT(*) FROM Orders o1, Orders o2 WHERE o1.CK = o2.CK AND o1.OK < o2.OK`
 	gateDist   = `SELECT COUNT(DISTINCT o.sku) FROM Customer c, Orders o WHERE c.CK = o.CK`
+	// gateOrders under Primary {Customer, Catalog} has two private atoms.
+	gateOrders = `SELECT COUNT(*) FROM Orders o`
 )
 
 func pipelineCorpus() []pipelineCase {
@@ -248,6 +250,10 @@ func TestPrepareFailuresNeverCharge(t *testing.T) {
 		{name: "unknown primary", sql: gateCount, opt: with(func(o *Options) { o.Primary = []string{"Nobody"} })},
 		{name: "ls on a self-join", sql: gateSelf, opt: with(func(o *Options) { o.Mechanism = "ls" })},
 		{name: "ls on a projection", sql: gateDist, opt: with(func(o *Options) { o.Mechanism = "ls" })},
+		{name: "ls with two primaries", sql: gateOrders, opt: with(func(o *Options) { o.Mechanism, o.Primary = "ls", []string{"Customer", "Catalog"} })},
+		{name: "naive with two primaries", sql: gateOrders, opt: with(func(o *Options) { o.Naive, o.Primary = true, []string{"Customer", "Catalog"} })},
+		{name: "naive on a self-join", sql: gateSelf, opt: with(func(o *Options) { o.Naive = true })},
+		{name: "naive on a projection", sql: gateDist, opt: with(func(o *Options) { o.Naive = true })},
 		{name: "laplace on a signed split", sql: gateSigned, opt: with(func(o *Options) { o.Mechanism, o.AllowNegativeSum = "laplace", true })},
 		{name: "laplace under group-by", sql: gateCount, opt: with(func(o *Options) { o.Mechanism = "laplace" }), column: "c.region", groups: regions},
 		{name: "no groups", sql: gateCount, opt: ok, column: "c.region", groups: []Value{}},

@@ -207,7 +207,7 @@ func (db *DB) ExportReport(sqlText string, primary []string, w io.Writer) error 
 	if err != nil {
 		return err
 	}
-	return truncation.WriteOccurrences(w, truncation.FromResult(res))
+	return truncation.WriteOccurrences(w, res)
 }
 
 // Query runs one SPJA query under ε-DP with the R2T mechanism.
