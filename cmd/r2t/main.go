@@ -35,7 +35,6 @@ func main() {
 		gsq        = flag.Float64("gsq", 1e6, "assumed global sensitivity bound")
 		beta       = flag.Float64("beta", 0.1, "utility failure probability β")
 		seed       = flag.Int64("seed", 0, "noise seed (0 = fresh crypto seed)")
-		early      = flag.Bool("earlystop", true, "enable early-stop race pruning")
 		profile    = flag.Bool("profile", false, "print the NON-PRIVATE per-stage profile (EXPLAIN ANALYZE style)")
 		debug      = flag.Bool("debug", false, "print NON-PRIVATE diagnostics (true answer, τ*, races)")
 		report     = flag.String("report", "", "instead of answering, export the NON-PRIVATE reporting-query occurrences to this file (Figure 3 pipeline)")
@@ -81,12 +80,11 @@ func main() {
 	}
 
 	opt := r2t.Options{
-		Epsilon:   *eps,
-		GSQ:       *gsq,
-		Beta:      *beta,
-		Primary:   strings.Split(*primary, ","),
-		EarlyStop: *early,
-		Profile:   *profile,
+		Epsilon: *eps,
+		GSQ:     *gsq,
+		Beta:    *beta,
+		Primary: strings.Split(*primary, ","),
+		Profile: *profile,
 	}
 	if *seed != 0 {
 		opt.Noise = r2t.NewNoiseSource(*seed)

@@ -46,11 +46,10 @@ func main() {
 		var truth float64
 		for rep := int64(0); rep < reps; rep++ {
 			ans, err := db.Query(query, r2t.Options{
-				Epsilon:   eps,
-				GSQ:       gsq,
-				Primary:   []string{"Customer"},
-				EarlyStop: true,
-				Noise:     r2t.NewNoiseSource(1000*int64(p) + rep),
+				Epsilon: eps,
+				GSQ:     gsq,
+				Primary: []string{"Customer"},
+				Noise:   r2t.NewNoiseSource(1000*int64(p) + rep),
 			})
 			if err != nil {
 				log.Fatal(err)

@@ -60,11 +60,10 @@ func main() {
 
 	for i, q := range queries {
 		ans, err := db.Query(q.sql, r2t.Options{
-			Epsilon:   0.8,
-			GSQ:       q.gsq(degreeBound),
-			Primary:   []string{"Node"},
-			EarlyStop: true,
-			Noise:     r2t.NewNoiseSource(int64(100 + i)),
+			Epsilon: 0.8,
+			GSQ:     q.gsq(degreeBound),
+			Primary: []string{"Node"},
+			Noise:   r2t.NewNoiseSource(int64(100 + i)),
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", q.name, err)

@@ -29,11 +29,10 @@ func main() {
 		"c.mktsegment",
 		segments,
 		r2t.Options{
-			Epsilon:   5,    // split into ε=1 per group
-			GSQ:       4096, // conservative bound on orders per customer (true max ~30)
-			Primary:   []string{"Customer"},
-			EarlyStop: true,
-			Noise:     r2t.NewNoiseSource(17),
+			Epsilon: 5,    // split into ε=1 per group
+			GSQ:     4096, // conservative bound on orders per customer (true max ~30)
+			Primary: []string{"Customer"},
+			Noise:   r2t.NewNoiseSource(17),
 		},
 	)
 	if err != nil {

@@ -63,11 +63,10 @@ func main() {
 
 	for i, q := range queries {
 		ans, err := db.Query(q.sql, r2t.Options{
-			Epsilon:   2,
-			GSQ:       1e6, // conservative, as the paper recommends — R2T only pays log(GSQ)
-			Primary:   q.primary,
-			EarlyStop: true,
-			Noise:     r2t.NewNoiseSource(int64(31 + i)),
+			Epsilon: 2,
+			GSQ:     1e6, // conservative, as the paper recommends — R2T only pays log(GSQ)
+			Primary: q.primary,
+			Noise:   r2t.NewNoiseSource(int64(31 + i)),
 		})
 		if err != nil {
 			log.Fatalf("%s: %v", q.name, err)

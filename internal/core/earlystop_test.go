@@ -72,7 +72,7 @@ func runStages(t *testing.T, r *recordingBounded, cfg Config) (*Output, [numPrun
 		t.Fatal(err)
 	}
 	tap := &tapNoise{src: cfg.Noise}
-	cfg.Noise, cfg.EarlyStop, cfg.Workers = tap, true, 1
+	cfg.Noise, cfg.EarlyStop = tap, true
 	out, err := Run(r, cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -26,51 +26,19 @@ func (f *flakyTruncator) Value(tau float64) (float64, error) {
 	return f.fakeTruncator.Value(tau)
 }
 
-// flakyGrid adds a Values method that fails as a unit, modeling a broken
-// amortized pass over a healthy per-race path.
-type flakyGrid struct {
-	flakyTruncator
-	gridErr error
+func faultCfg() Config {
+	return Config{Epsilon: 1, Beta: 0.1, GSQ: 256, Noise: dp.ZeroNoise{}}
 }
 
-func (g *flakyGrid) Values(taus []float64) ([]float64, error) {
-	if g.gridErr != nil {
-		return nil, g.gridErr
-	}
-	out := make([]float64, len(taus))
-	for i, tau := range taus {
-		v, err := g.Value(tau)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
-func faultCfg(workers int) Config {
-	return Config{Epsilon: 1, Beta: 0.1, GSQ: 256, Noise: dp.ZeroNoise{}, Workers: workers}
-}
-
-// A failed race — or a grid pass that fails as a unit — fails the whole run:
-// which races fail is data-dependent, so there is no release over the
-// survivors (DESIGN.md §9d).
+// A failed race fails the whole run: which races fail is data-dependent, so
+// there is no release over the survivors (DESIGN.md §9d).
 func TestRaceFailureFailsTheRun(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		tr := &flakyTruncator{
-			fakeTruncator: fakeTruncator{answer: 1000, tauStar: 8},
-			failAt:        map[float64]bool{8: true},
-		}
-		if _, err := Run(tr, faultCfg(workers)); err == nil || !strings.Contains(err.Error(), "synthetic failure") {
-			t.Fatalf("workers=%d: a race failure must fail the run, got %v", workers, err)
-		}
+	tr := &flakyTruncator{
+		fakeTruncator: fakeTruncator{answer: 1000, tauStar: 8},
+		failAt:        map[float64]bool{8: true},
 	}
-	broken := &flakyGrid{
-		flakyTruncator: flakyTruncator{fakeTruncator: fakeTruncator{answer: 1000, tauStar: 8}},
-		gridErr:        fmt.Errorf("synthetic grid failure"),
-	}
-	if _, err := Run(broken, faultCfg(1)); err == nil {
-		t.Fatal("a grid failure must fail the run")
+	if _, err := Run(tr, faultCfg()); err == nil || !strings.Contains(err.Error(), "synthetic failure") {
+		t.Fatalf("a race failure must fail the run, got %v", err)
 	}
 }
 
@@ -79,13 +47,10 @@ func TestPanicInRaceIsContained(t *testing.T) {
 		fakeTruncator: fakeTruncator{answer: 1000, tauStar: 8},
 		panicAt:       map[float64]bool{16: true},
 	}
-	// The panic becomes an error, never an escaped panic — on the calling
-	// goroutine and on the race workers alike.
-	for _, workers := range []int{1, 4} {
-		_, err := Run(tr, faultCfg(workers))
-		if err == nil || !strings.Contains(err.Error(), "panicked") {
-			t.Fatalf("workers=%d: contained panic should surface as an error, got %v", workers, err)
-		}
+	// The panic becomes an error, never an escaped panic.
+	_, err := Run(tr, faultCfg())
+	if err == nil || !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("contained panic should surface as an error, got %v", err)
 	}
 }
 
@@ -95,7 +60,7 @@ func TestPanicOutsideRacesIsContained(t *testing.T) {
 	defer fault.Reset()
 	fault.Enable("dp.laplace", fault.Rule{Panic: "noise source corrupted"})
 	tr := &fakeTruncator{answer: 1000, tauStar: 8}
-	cfg := faultCfg(1)
+	cfg := faultCfg()
 	cfg.Noise = dp.NewSource(1) // ZeroNoise bypasses the dp.laplace site
 	_, err := Run(tr, cfg)
 	if err == nil || !strings.Contains(err.Error(), "panic during run") {
@@ -105,17 +70,15 @@ func TestPanicOutsideRacesIsContained(t *testing.T) {
 
 func TestCoreRaceFaultSite(t *testing.T) {
 	// The core.race failpoint kills whichever race hits it, and with it the
-	// run; once the fault clears the same run succeeds. (The rule fires on
-	// every hit: a failed multi-worker Run in an earlier test may still be
-	// draining races, and must not be able to use up a one-shot rule.)
+	// run; once the fault clears the same run succeeds.
 	defer fault.Reset()
 	fault.Enable("core.race", fault.Rule{})
 	tr := &fakeTruncator{answer: 1000, tauStar: 8}
-	if _, err := Run(tr, faultCfg(1)); err == nil {
+	if _, err := Run(tr, faultCfg()); err == nil {
 		t.Fatal("an armed core.race site must fail the run")
 	}
 	fault.Reset()
-	out, err := Run(tr, faultCfg(1))
+	out, err := Run(tr, faultCfg())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,9 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sort"
-	"sync"
 	"time"
 
 	"r2t/internal/dp"
@@ -33,25 +30,19 @@ const (
 
 // Config parameterizes one R2T invocation.
 type Config struct {
-	Epsilon float64 // privacy budget ε (> 0)
-	Beta    float64 // failure probability β of the utility bound; 0 → 0.1
-	GSQ     float64 // assumed global sensitivity bound (≥ 2)
+	Epsilon float64 // privacy budget ε (> 0, finite)
+	Beta    float64 // failure probability β of the utility bound, in (0,1); 0 → 0.1
+	GSQ     float64 // assumed global sensitivity bound (≥ 2, finite)
 
 	Noise dp.NoiseSource // nil → a fresh CSPRNG-keyed source (dp.NewCryptoSource)
 
-	// EarlyStop enables Algorithm 1: races are killed as soon as a dual
-	// upper bound proves they cannot beat the current best. Requires a
-	// truncator that can produce dual bounds (the LP truncator can); other
-	// truncators silently fall back to the plain algorithm.
+	// EarlyStop enables Algorithm 1's pruning: a race is killed as soon as a
+	// dual upper bound proves it cannot beat the current best. It needs a
+	// DualBounded truncator (the LP one); any other truncator answers every
+	// race with Value. Pruning changes only speed, never the released bits.
+	// Every production caller sets it; false is kept for Table 4's
+	// "w/o early stop" row.
 	EarlyStop bool
-
-	// Workers is the number of races solved concurrently (Section 9 solves
-	// the LPs in parallel). Default 1 (serial); ≤ 0 uses GOMAXPROCS. The
-	// truncator must be safe for concurrent Value calls — the operators in
-	// internal/truncation are (they only read shared structure). The released
-	// estimate is identical to the serial run for the same noise source;
-	// only the per-race pruned/solved diagnostics may differ.
-	Workers int
 
 	// Interrupt, when non-nil, aborts the run between races once the channel
 	// is closed (a context.Done() channel, typically): Run returns
@@ -66,19 +57,22 @@ type Config struct {
 	Recorder *obs.Recorder
 }
 
+// fill validates c and applies its defaults. It agrees with the public
+// Options.Validate: every check fails on NaN (for which all ordered
+// comparisons are false) and on ±Inf, so no non-finite parameter reaches the
+// noise scales or the τ grid.
 func (c *Config) fill() error {
-	if c.Epsilon <= 0 {
-		return fmt.Errorf("r2t: ε must be positive, got %g", c.Epsilon)
+	if !finite(c.Epsilon) || c.Epsilon <= 0 {
+		return fmt.Errorf("r2t: ε must be positive and finite, got %g", c.Epsilon)
 	}
-	if c.GSQ < 2 {
-		return fmt.Errorf("r2t: GS_Q must be at least 2, got %g", c.GSQ)
+	if !finite(c.GSQ) || c.GSQ < 2 {
+		return fmt.Errorf("r2t: GS_Q must be finite and at least 2, got %g", c.GSQ)
 	}
-	if c.Beta <= 0 || c.Beta >= 1 {
-		if c.Beta == 0 {
-			c.Beta = 0.1
-		} else {
-			return fmt.Errorf("r2t: β must be in (0,1), got %g", c.Beta)
-		}
+	if !finite(c.Beta) || c.Beta < 0 || c.Beta >= 1 {
+		return fmt.Errorf("r2t: β must be in (0,1), or 0 for the default, got %g", c.Beta)
+	}
+	if c.Beta == 0 {
+		c.Beta = 0.1
 	}
 	if c.Noise == nil {
 		// A predictable (e.g. clock-derived) seed would let an adversary
@@ -87,6 +81,8 @@ func (c *Config) fill() error {
 	}
 	return nil
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 // Race records one τ's fate, for diagnostics and the early-stop experiments.
 type Race struct {
@@ -119,15 +115,6 @@ type DualBounded interface {
 	Bounder(tau float64) *lp.DualBounder
 }
 
-// GridTruncator is implemented by truncators (the LP one) that can evaluate a
-// whole τ schedule with amortized work. Each returned entry must be
-// bit-identical to the corresponding Value call, so routing the races through
-// it never changes the released estimate.
-type GridTruncator interface {
-	truncation.Truncator
-	Values(taus []float64) ([]float64, error)
-}
-
 // Run executes R2T over the truncated estimator tr.
 //
 // Privacy: each race's Q(I,τ^(j)) has global sensitivity ≤ τ^(j) (truncator
@@ -145,9 +132,8 @@ type GridTruncator interface {
 func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 	// Whole-run panic containment: noise draws, the floor evaluation, and
 	// anything else outside the per-race path. The per-race recover below
-	// is tighter (it names the race, and covers the worker goroutines this
-	// one cannot); this is the backstop that guarantees the
-	// no-escaping-panics contract.
+	// is tighter (it names the race); this is the backstop that guarantees
+	// the no-escaping-panics contract.
 	defer func() {
 		if p := recover(); p != nil {
 			out, err = nil, fmt.Errorf("r2t: panic during run (budget must be treated as charged): %v", p)
@@ -182,59 +168,23 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 
 	bounded, canBound := tr.(DualBounded)
 	useEarly := cfg.EarlyStop && canBound
-
-	workers := cfg.Workers
-	if workers == 0 {
-		workers = 1
-	}
-	if workers < 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// shared race state: the running maximum (used both for pruning and as
-	// the final estimate) and the collected diagnostics.
-	var mu sync.Mutex
 	best, winner := out.Estimate, out.WinnerTau
 	races := make([]Race, 0, n)
-	readBest := func() float64 {
-		mu.Lock()
-		defer mu.Unlock()
-		return best
-	}
-	finish := func(race Race) {
-		if race.Pruned {
-			cfg.Recorder.Add(obs.CtrEarlyStopPrune, 1)
-		}
-		mu.Lock()
-		defer mu.Unlock()
-		races = append(races, race)
-		if race.Solved && race.Noisy > best {
-			best = race.Noisy
-			winner = race.Tau
-		}
-	}
-
-	interrupted := func() bool {
-		select {
-		case <-cfg.Interrupt: // never fires when Interrupt is nil
-			return true
-		default:
-			return false
-		}
-	}
 
 	// runRace executes one race: tighten dual bounds until pruned or solve
 	// the LP exactly. Returns the first hard error; it is also the fault
 	// boundary around the race — a panic in the solver (or the truncator)
-	// becomes that race's error, on the race workers too.
+	// becomes that race's error.
 	runRace := func(j int) (err error) {
 		defer func() {
 			if p := recover(); p != nil {
 				err = fmt.Errorf("r2t: race τ=%g panicked: %v", taus[j], p)
 			}
 		}()
-		if interrupted() {
+		select {
+		case <-cfg.Interrupt: // never fires when Interrupt is nil
 			return ErrInterrupted
+		default:
 		}
 		if err := fault.Check("core.race"); err != nil {
 			return err
@@ -248,9 +198,10 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 			// Cheap bounds first: the y = 0 bound comes with the bounder and
 			// the uniform-λ bound is round 0's first step, so trying them
 			// before paying for subgradient steps only stops earlier on the
-			// same sequence. Bounds never rise and a serial race cannot move
-			// best, so every decision equals checking after the full round.
-			pruned := b.Bound()+shift <= readBest() || b.Tighten(1)+shift <= readBest()
+			// same sequence. Bounds never rise and a race cannot move best
+			// before it is solved, so every decision equals checking after
+			// the full round.
+			pruned := b.Bound()+shift <= best || b.Tighten(1)+shift <= best
 			steps := 0
 			prev := math.Inf(1)
 			for round := 0; !pruned && round < dualRounds; round++ {
@@ -260,7 +211,7 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 				}
 				bound := b.Tighten(iters)
 				steps += iters
-				if bound+shift <= readBest() {
+				if bound+shift <= best {
 					pruned = true
 					break
 				}
@@ -275,9 +226,10 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 			}
 			cfg.Recorder.Add(obs.CtrDualSteps, int64(steps))
 			if pruned {
+				cfg.Recorder.Add(obs.CtrEarlyStopPrune, 1)
 				race.Pruned = true
 				race.Duration = time.Since(raceStart)
-				finish(race)
+				races = append(races, race)
 				return nil
 			}
 		}
@@ -289,87 +241,25 @@ func Run(tr truncation.Truncator, cfg Config) (out *Output, err error) {
 		race.Value = v
 		race.Noisy = v + shift
 		race.Duration = time.Since(raceStart)
-		finish(race)
+		races = append(races, race)
+		if race.Noisy > best {
+			best, winner = race.Noisy, tau
+		}
 		return nil
 	}
 
-	// Without early stop every race is solved exactly, so a grid-capable
-	// truncator evaluates the whole schedule in one amortized pass (the
-	// τ-independent LP structure is shared across races). Values is
-	// bit-identical to per-race Value calls, so the estimate is unchanged;
-	// noise was already drawn above, in the same order as the race loop.
-	// Early stop keeps the per-race loop: pruning decisions interleave with
-	// solves and depend on the running best.
-	// The race section — grid pass or per-race loop — is timed as one
-	// wall-clock interval, so concurrent race workers are not double-counted.
+	// Largest τ first: those LPs tend to solve fastest (their capacity rows
+	// are mostly redundant), and a strong early best prunes the rest. The
+	// best moves only on a strict increase, so the release equals the
+	// max over every race solved exactly: pruning changes only speed.
 	stopLP := cfg.Recorder.Time(obs.StageLPSolve)
-	gridTr, canGrid := tr.(GridTruncator)
-	useGrid := canGrid && !useEarly && n > 0
-	if useGrid {
-		if interrupted() {
-			return nil, ErrInterrupted
-		}
-		gridStart := time.Now()
-		vs, gridErr := func() (vs []float64, err error) {
-			defer func() {
-				if p := recover(); p != nil {
-					err = fmt.Errorf("r2t: grid pass panicked: %v", p)
-				}
-			}()
-			return gridTr.Values(taus)
-		}()
-		if gridErr != nil {
-			return nil, gridErr
-		}
-		per := time.Since(gridStart) / time.Duration(n)
-		for j := n - 1; j >= 0; j-- {
-			shift := noise[j] - penaltyFactor*taus[j]
-			finish(Race{
-				Tau:      taus[j],
-				Solved:   true,
-				Value:    vs[j],
-				Noisy:    vs[j] + shift,
-				Duration: per, // amortized share of the grid pass
-			})
-		}
-	} else if workers == 1 {
-		// Largest τ first: those LPs tend to solve fastest (their capacity
-		// rows are mostly redundant), and a strong early best prunes the
-		// rest.
-		for j := n - 1; j >= 0; j-- {
-			if err := runRace(j); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		idx := make(chan int, n)
-		for j := n - 1; j >= 0; j-- {
-			idx <- j
-		}
-		close(idx)
-		errs := make(chan error, workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				for j := range idx {
-					if err := runRace(j); err != nil {
-						errs <- err
-						return
-					}
-				}
-				errs <- nil
-			}()
-		}
-		for w := 0; w < workers; w++ {
-			if err := <-errs; err != nil {
-				return nil, err
-			}
+	for j := n - 1; j >= 0; j-- {
+		if err := runRace(j); err != nil {
+			return nil, err
 		}
 	}
 	stopLP()
 
-	// Deterministic diagnostics order (descending τ), regardless of how the
-	// workers interleaved.
-	sort.Slice(races, func(i, j int) bool { return races[i].Tau > races[j].Tau })
 	out.Races = races
 	out.Estimate = best
 	out.WinnerTau = winner

@@ -3,15 +3,16 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"testing"
 
 	"r2t/internal/dp"
 	"r2t/internal/exec"
-	"r2t/internal/lp"
 	"r2t/internal/plan"
 	"r2t/internal/schema"
 	"r2t/internal/sql"
 	"r2t/internal/storage"
+	"r2t/internal/tpch"
 	"r2t/internal/truncation"
 	"r2t/internal/value"
 )
@@ -57,15 +58,34 @@ func edgeTruncator(t *testing.T, inst *storage.Instance, s *schema.Schema) *trun
 }
 
 func TestConfigValidation(t *testing.T) {
-	tr := &fakeTruncator{answer: 10, tauStar: 2}
-	if _, err := Run(tr, Config{Epsilon: 0, GSQ: 16}); err == nil {
-		t.Error("ε=0 should fail")
-	}
-	if _, err := Run(tr, Config{Epsilon: 1, GSQ: 1}); err == nil {
-		t.Error("GSQ<2 should fail")
-	}
-	if _, err := Run(tr, Config{Epsilon: 1, GSQ: 16, Beta: 2}); err == nil {
-		t.Error("β≥1 should fail")
+	// Run fails closed on every parameter Options.Validate rejects, NaN and
+	// ±Inf included, with an error naming the parameter: a non-finite ε would
+	// release the exact answer with no noise, a NaN ε or β would release 0,
+	// and a non-finite GS_Q would size the τ grid from garbage.
+	tr := &fakeTruncator{answer: 64, tauStar: 2}
+	for _, c := range []struct {
+		name  string
+		cfg   Config
+		param string
+	}{
+		{"ε=0", Config{Epsilon: 0, GSQ: 16}, "ε"},
+		{"ε=+Inf", Config{Epsilon: math.Inf(1), GSQ: 16}, "ε"},
+		{"ε=NaN", Config{Epsilon: math.NaN(), GSQ: 16}, "ε"},
+		{"GSQ<2", Config{Epsilon: 1, GSQ: 1}, "GS_Q"},
+		{"GSQ=NaN", Config{Epsilon: 1, GSQ: math.NaN()}, "GS_Q"},
+		{"GSQ=+Inf", Config{Epsilon: 1, GSQ: math.Inf(1)}, "GS_Q"},
+		{"β≥1", Config{Epsilon: 1, GSQ: 16, Beta: 2}, "β"},
+		{"β=NaN", Config{Epsilon: 1, GSQ: 16, Beta: math.NaN()}, "β"},
+	} {
+		c.cfg.Noise = dp.NewSource(1)
+		out, err := Run(tr, c.cfg)
+		if err == nil {
+			t.Errorf("%s: should fail, released %v", c.name, out.Estimate)
+			continue
+		}
+		if !strings.Contains(err.Error(), c.param) || strings.Contains(err.Error(), "panic") {
+			t.Errorf("%s: want a validation error naming %s, got %v", c.name, c.param, err)
+		}
 	}
 }
 
@@ -82,16 +102,14 @@ func (e *errTruncator) TrueAnswer() float64 { return 100 }
 func (e *errTruncator) TauStar() float64    { return 100 }
 
 func TestTruncatorErrorsPropagate(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		_, err := Run(&errTruncator{failAt: 8}, Config{Epsilon: 1, GSQ: 64, Noise: dp.ZeroNoise{}, Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: error should propagate", workers)
-		}
-		// Failure at τ=0 (the floor) also propagates.
-		_, err = Run(&errTruncator{failAt: 0}, Config{Epsilon: 1, GSQ: 64, Noise: dp.ZeroNoise{}, Workers: workers})
-		if err == nil {
-			t.Fatalf("workers=%d: floor error should propagate", workers)
-		}
+	_, err := Run(&errTruncator{failAt: 8}, Config{Epsilon: 1, GSQ: 64, Noise: dp.ZeroNoise{}})
+	if err == nil {
+		t.Fatal("error should propagate")
+	}
+	// Failure at τ=0 (the floor) also propagates.
+	_, err = Run(&errTruncator{failAt: 0}, Config{Epsilon: 1, GSQ: 64, Noise: dp.ZeroNoise{}})
+	if err == nil {
+		t.Fatal("floor error should propagate")
 	}
 }
 
@@ -193,25 +211,42 @@ func TestTheoremErrorBound(t *testing.T) {
 func TestEarlyStopMatchesPlain(t *testing.T) {
 	// With identical noise streams, Algorithm 1 (early stop) must release
 	// exactly the same bits as the plain algorithm: pruned races provably
-	// cannot win, and the races that survive are solved exactly.
+	// cannot win, and the races that survive are solved exactly. Pruning is
+	// how every production caller runs, so this is the gate that it changes
+	// only speed.
+	same := func(name string, tr *truncation.LPTruncator, cfg Config, seed int64) {
+		t.Helper()
+		cfg.Noise = dp.NewSource(seed)
+		plainOut, err := Run(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Noise, cfg.EarlyStop = dp.NewSource(seed), true
+		earlyOut, err := Run(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(plainOut.Estimate, earlyOut.Estimate) || plainOut.WinnerTau != earlyOut.WinnerTau {
+			t.Fatalf("%s ε=%g seed %d: early stop %v (τ=%g) != plain %v (τ=%g)", name, cfg.Epsilon, seed,
+				earlyOut.Estimate, earlyOut.WinnerTau, plainOut.Estimate, plainOut.WinnerTau)
+		}
+	}
 	// ε = 4 makes most releases beat the floor, so the equality is not
 	// mostly 0 == 0.
 	for _, fx := range earlyStopFixtures(t) {
 		for _, eps := range []float64{1, 4} {
 			for seed := int64(0); seed < 50; seed++ {
-				plainOut, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed)})
-				if err != nil {
-					t.Fatal(err)
-				}
-				earlyOut, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(plainOut.Estimate, earlyOut.Estimate) || plainOut.WinnerTau != earlyOut.WinnerTau {
-					t.Fatalf("%s ε=%g seed %d: early stop %v (τ=%g) != plain %v (τ=%g)", fx.name, eps, seed,
-						earlyOut.Estimate, earlyOut.WinnerTau, plainOut.Estimate, plainOut.WinnerTau)
-				}
+				same(fx.name, fx.tr, Config{Epsilon: eps, GSQ: 256}, seed)
 			}
+		}
+	}
+	// Every TPC-H query at the scale where pruning pays, at the paper's ε and
+	// a conservative GS_Q.
+	inst := tpch.Generate(tpch.GenOptions{SF: 0.5, Seed: 1})
+	for _, q := range tpch.Queries() {
+		tr := tpchTruncator(t, inst, q.Name)
+		for seed := int64(1); seed <= 8; seed++ {
+			same(q.Name, tr, Config{Epsilon: 0.8, GSQ: 1e5}, seed)
 		}
 	}
 }
@@ -233,48 +268,6 @@ func TestEarlyStopPrunesSomething(t *testing.T) {
 	}
 	if stages[prunedAfterSteps] == 0 {
 		t.Error("early stop never pruned a race after subgradient steps")
-	}
-}
-
-func TestParallelWorkersMatchSerial(t *testing.T) {
-	// The released estimate must be bit-identical with any worker count;
-	// only the pruned/solved split may differ (pruning is sound either way).
-	for _, fx := range earlyStopFixtures(t) {
-		for _, eps := range []float64{1, 4} {
-			for seed := int64(0); seed < 20; seed++ {
-				serial, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true})
-				if err != nil {
-					t.Fatal(err)
-				}
-				parallel, err := Run(fx.tr, Config{Epsilon: eps, GSQ: 256, Noise: dp.NewSource(seed), EarlyStop: true, Workers: 4})
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !sameBits(serial.Estimate, parallel.Estimate) || serial.WinnerTau != parallel.WinnerTau {
-					t.Fatalf("%s ε=%g seed %d: parallel %v (τ=%g) != serial %v (τ=%g)", fx.name, eps, seed,
-						parallel.Estimate, parallel.WinnerTau, serial.Estimate, serial.WinnerTau)
-				}
-				if len(parallel.Races) != len(serial.Races) {
-					t.Fatalf("%s seed %d: race counts differ", fx.name, seed)
-				}
-				for i := 1; i < len(parallel.Races); i++ {
-					if parallel.Races[i].Tau >= parallel.Races[i-1].Tau {
-						t.Fatal("parallel diagnostics not sorted by descending τ")
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestWorkersGOMAXPROCS(t *testing.T) {
-	tr := &fakeTruncator{answer: 50, tauStar: 4}
-	out, err := Run(tr, Config{Epsilon: 1, GSQ: 64, Noise: dp.ZeroNoise{}, Workers: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Races) != 6 {
-		t.Fatalf("races = %d", len(out.Races))
 	}
 }
 
@@ -302,9 +295,7 @@ func TestErrorBoundFormula(t *testing.T) {
 // Interface conformance: the LP truncator is dual-bounded.
 var _ DualBounded = (*truncation.LPTruncator)(nil)
 
-// Silence unused-import lint for lp (used via the interface assertion above
-// in type position only when EarlyStop is exercised).
-var _ = lp.Options{}
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
 
 func ExampleRun() {
 	tr := &fakeTruncator{answer: 9992, tauStar: 32}

@@ -15,11 +15,11 @@
 //     recovered by a cheap array-based union-find inside its parent block —
 //     or, in the common all-rows-live case, reused verbatim from the cache.
 //
-// SolveTau and SolveSchedule replay exactly the pipeline of Solve — same
-// presolve decisions, same component partition, same pivot sequence — so
-// their results are bitwise identical to a fresh Solve of the materialized
-// problem (R2T's privacy proof is a property of the exact optimum, and the
-// released value must not depend on which entry point computed it).
+// SolveTau replays exactly the pipeline of Solve — same presolve decisions,
+// same component partition, same pivot sequence — so its results are bitwise
+// identical to a fresh Solve of the materialized problem (R2T's privacy proof
+// is a property of the exact optimum, and the released value must not depend
+// on which entry point computed it).
 package lp
 
 import (
@@ -257,31 +257,6 @@ func (g *GridSolver) SolveTau(tau float64, opt Options) (*Solution, error) {
 	ws := getWorkspace()
 	defer putWorkspace(ws)
 	return g.solveTauWS(tau, opt, ws)
-}
-
-// SolveSchedule solves the LP at every τ of the schedule on one workspace;
-// each entry is bitwise identical to SolveTau at that τ. Solutions are
-// returned in the schedule's order.
-func (g *GridSolver) SolveSchedule(taus []float64, opt Options) ([]*Solution, error) {
-	for _, tau := range taus {
-		if err := validTau(tau); err != nil {
-			return nil, err
-		}
-	}
-	ws := getWorkspace()
-	defer putWorkspace(ws)
-	out := make([]*Solution, len(taus))
-	for i, tau := range taus {
-		if err := fault.Check("lp.solve"); err != nil {
-			return nil, err
-		}
-		sol, err := g.solveTauWS(tau, opt, ws)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = sol
-	}
-	return out, nil
 }
 
 // solveTauWS is the per-τ engine.

@@ -121,22 +121,34 @@ func ftoa(f float64) string {
 }
 
 func TestGridScheduleBitwiseEqualsSolve(t *testing.T) {
+	// A whole τ schedule solved by consecutive SolveTau calls on one
+	// GridSolver — ascending, then descending — matches a fresh Solve of each
+	// materialized problem bit for bit: one solve leaves nothing behind that
+	// moves the next, whatever the order.
 	for pi, p := range gridCorpus() {
 		tauRows := allTauRows(p)
 		g, err := NewGridSolver(p, tauRows)
 		if err != nil {
 			t.Fatalf("problem %d: %v", pi, err)
 		}
-		sols, err := g.SolveSchedule(gridTaus, Options{})
-		if err != nil {
-			t.Fatalf("problem %d: SolveSchedule: %v", pi, err)
-		}
+		want := make([]*Solution, len(gridTaus))
 		for ti, tau := range gridTaus {
-			want, err := Solve(materialize(p, tauRows, tau), Options{})
-			if err != nil {
+			if want[ti], err = Solve(materialize(p, tauRows, tau), Options{}); err != nil {
 				t.Fatalf("problem %d τ=%g: %v", pi, tau, err)
 			}
-			requireBitwiseEqual(t, tagOf(pi, tau), sols[ti], want)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i := range gridTaus {
+				ti := i
+				if pass == 1 {
+					ti = len(gridTaus) - 1 - i
+				}
+				got, err := g.SolveTau(gridTaus[ti], Options{})
+				if err != nil {
+					t.Fatalf("problem %d τ=%g: SolveTau: %v", pi, gridTaus[ti], err)
+				}
+				requireBitwiseEqual(t, tagOf(pi, gridTaus[ti]), got, want[ti])
+			}
 		}
 	}
 }
@@ -350,31 +362,5 @@ func TestGridRejectsBadInput(t *testing.T) {
 		if _, err := g.SolveTau(tau, Options{}); err == nil {
 			t.Fatalf("expected error for τ=%v", tau)
 		}
-		if _, err := g.SolveSchedule([]float64{1, tau}, Options{}); err == nil {
-			t.Fatalf("expected schedule error for τ=%v", tau)
-		}
-	}
-}
-
-func TestGridScheduleOrderIndependent(t *testing.T) {
-	// Results are keyed to the schedule's order but solved ascending; a
-	// shuffled schedule returns the same per-τ solutions.
-	p := cliqueLP(5, 0)
-	g, err := NewGridSolver(p, allTauRows(p))
-	if err != nil {
-		t.Fatal(err)
-	}
-	asc := []float64{1, 2, 4, 8}
-	desc := []float64{8, 4, 2, 1}
-	sa, err := g.SolveSchedule(asc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sd, err := g.SolveSchedule(desc, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range asc {
-		requireBitwiseEqual(t, "order", sd[len(desc)-1-i], sa[i])
 	}
 }

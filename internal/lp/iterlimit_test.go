@@ -49,7 +49,7 @@ func TestIterationLimitObjectiveNeverOverclaims(t *testing.T) {
 	}
 }
 
-// TestGridSolverIterationLimitSurfaces: the amortized grid path must report
+// TestGridSolverIterationLimitSurfaces: the grid solver must report
 // iteration exhaustion through the same Status, not silently hand back a
 // partial objective.
 func TestGridSolverIterationLimitSurfaces(t *testing.T) {

@@ -6,7 +6,7 @@ import "sync"
 // column store, basis state and dense inverse, the component-extraction
 // arrays, and the grid solver's per-τ liveness/union-find scratch. Solve and
 // GridSolver check one out of a sync.Pool per call, so concurrent callers
-// (R2T's parallel race workers) each reuse their own buffers instead of
+// (r2td's concurrent requests) each reuse their own buffers instead of
 // thrashing the allocator.
 type workspace struct {
 	// simplex: sparse column store (CSR by column) and basis state.

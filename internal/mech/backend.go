@@ -67,9 +67,7 @@ type Params struct {
 	// FixedTau is the fixed-τ backend's threshold; 0 means GS_Q.
 	FixedTau float64
 
-	// R2T-only knobs, passed through to core.Run.
-	EarlyStop bool
-	Workers   int
+	// Interrupt (R2T only) is passed through to core.Run.
 	Interrupt <-chan struct{}
 }
 
@@ -120,8 +118,7 @@ func (r2tBackend) Run(tr truncation.Truncator, p Params) (*Result, error) {
 		Beta:      p.Beta,
 		GSQ:       p.GSQ,
 		Noise:     p.Noise,
-		EarlyStop: p.EarlyStop,
-		Workers:   p.Workers,
+		EarlyStop: true,
 		Interrupt: p.Interrupt,
 		Recorder:  p.Rec,
 	})

@@ -33,7 +33,7 @@ import (
 // Stage identifies one timed section of the pipeline. Stages are disjoint
 // wall-clock intervals within a single query evaluation, so their durations
 // sum to (slightly less than) the end-to-end duration; concurrent work inside
-// a stage (parallel probe chunks, race workers) is covered by the stage's
+// a stage (parallel probe chunks) is covered by the stage's
 // wall-clock span, not double-counted.
 type Stage int
 
@@ -103,9 +103,9 @@ func (c Counter) String() string {
 }
 
 // Recorder accumulates one evaluation's profile. All methods are safe for
-// concurrent use (the executor's probe workers and core.Run's race workers
-// record into one Recorder) and safe — without allocating — on a nil
-// receiver, which is the disabled path.
+// concurrent use (the executor's probe workers record into one Recorder)
+// and safe — without allocating — on a nil receiver, which is the disabled
+// path.
 type Recorder struct {
 	stageNS [NumStages]atomic.Int64
 	stageN  [NumStages]atomic.Int64

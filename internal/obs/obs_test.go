@@ -109,8 +109,8 @@ func TestTimeRecordsElapsed(t *testing.T) {
 	}
 }
 
-// Concurrent recording from many goroutines (the executor's probe workers and
-// core's race workers share one recorder) must lose nothing; run under -race.
+// Concurrent recording from many goroutines (the executor's probe workers
+// share one recorder) must lose nothing; run under -race.
 func TestRecorderConcurrent(t *testing.T) {
 	r := NewRecorder()
 	const goroutines, per = 8, 1000

@@ -102,7 +102,6 @@ func (s *Server) serveShardSubQuery(payload []byte) ([]byte, error) {
 		Primary:          q.Primary,
 		AllowNegativeSum: q.Signed,
 		Mechanism:        mech.MechR2T,
-		EarlyStop:        true,
 		ExecWorkers:      s.execWorkers,
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.timeout)

@@ -398,7 +398,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		Mechanism:   mechanism,
 		ErrorTarget: req.ErrorTarget,
 		FixedTau:    req.FixedTau,
-		EarlyStop:   true,
 		ExecWorkers: s.execWorkers,
 		// Profile is always on server-side: the per-stage timings feed the
 		// aggregate r2td_stage_seconds_total metrics and the operator request

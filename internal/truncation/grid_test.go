@@ -13,31 +13,11 @@ import (
 	"r2t/internal/lp"
 )
 
-// raceTaus mirrors core.Run's schedule: the power-of-two ladder, plus 0 and
-// repeated/unsorted entries to exercise the scheduling bookkeeping.
+// raceTaus covers core.Run's schedule — the power-of-two ladder — plus 0,
+// fractional and repeated entries, in no particular order.
 var raceTaus = []float64{64, 2, 0, 16, 2, 1, 0.5, 8, 4, 32, 1024}
 
 func bitsEq(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
-
-func TestValuesBitIdenticalToValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	for trial := 0; trial < 40; trial++ {
-		tr := NewLPFromOccurrences(randomOccurrences(rng))
-		vs, err := tr.Values(raceTaus)
-		if err != nil {
-			t.Fatalf("trial %d: Values: %v", trial, err)
-		}
-		for i, tau := range raceTaus {
-			v, err := tr.Value(tau)
-			if err != nil {
-				t.Fatalf("trial %d τ=%g: Value: %v", trial, tau, err)
-			}
-			if !bitsEq(vs[i], v) {
-				t.Fatalf("trial %d τ=%g: Values %v != Value %v", trial, tau, vs[i], v)
-			}
-		}
-	}
-}
 
 func TestValueBitIdenticalToLegacySolve(t *testing.T) {
 	// The grid-backed Value must reproduce what the pre-grid implementation
@@ -61,13 +41,6 @@ func TestValueBitIdenticalToLegacySolve(t *testing.T) {
 				t.Fatalf("trial %d τ=%g: grid %v != legacy %v", trial, tau, v, sol.Objective)
 			}
 		}
-	}
-}
-
-func TestValuesRejectsNegativeTau(t *testing.T) {
-	tr := NewLPFromOccurrences(randomOccurrences(rand.New(rand.NewSource(1))))
-	if _, err := tr.Values([]float64{1, -2}); err == nil {
-		t.Fatal("expected error for negative τ in schedule")
 	}
 }
 

@@ -223,21 +223,6 @@ func (t *PartitionTruncator) valueEmulate(tau float64) float64 {
 	return obj
 }
 
-// Values evaluates a whole τ schedule; each entry is bit-identical to the
-// corresponding Value call (and hence to the LP grid pass). core.Run routes
-// the full race grid through this.
-func (t *PartitionTruncator) Values(taus []float64) ([]float64, error) {
-	out := make([]float64, len(taus))
-	for i, tau := range taus {
-		v, err := t.Value(tau)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
-}
-
 // TrueAnswer returns Q(I).
 func (t *PartitionTruncator) TrueAnswer() float64 { return t.answer }
 

@@ -136,7 +136,7 @@ func (t *LPTruncator) problem(tau float64) *lp.Problem {
 
 // gridSolver lazily builds the shared GridSolver skeleton: the problem at a
 // placeholder τ = 0 with every capacity row designated as a τ-row. Safe for
-// concurrent callers (core.Run's race workers).
+// concurrent callers.
 func (t *LPTruncator) gridSolver() (*lp.GridSolver, error) {
 	t.gridOnce.Do(func() {
 		tauRows := make([]int, len(t.capRows))
@@ -165,13 +165,8 @@ func (t *LPTruncator) Value(tau float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return t.release(sol, tau)
-}
-
-// release guards the exactness contract shared by Value and Values, and
-// harvests the solve's work counters into the recorder (pure observation:
-// lp.Solution counters describe effort, never the optimum).
-func (t *LPTruncator) release(sol *lp.Solution, tau float64) (float64, error) {
+	// Harvest the solve's work counters (pure observation: lp.Solution
+	// counters describe effort, never the optimum).
 	if t.rec != nil {
 		t.rec.Add(obs.CtrSimplexIters, int64(sol.Iters))
 		t.rec.Add(obs.CtrSimplexPivots, int64(sol.Pivots))
@@ -184,46 +179,6 @@ func (t *LPTruncator) release(sol *lp.Solution, tau float64) (float64, error) {
 		return 0, fmt.Errorf("truncation: LP at τ=%g did not reach optimality (%v after %d iterations)", tau, sol.Status, sol.Iters)
 	}
 	return sol.Objective, nil
-}
-
-// Values evaluates Q(I,τ) for a whole τ schedule with amortized work — the
-// τ-independent structure is reused, and every entry is bit-identical to the
-// corresponding Value call (and hence to per-τ lp.Solve). core.Run uses this
-// for the full race grid.
-func (t *LPTruncator) Values(taus []float64) ([]float64, error) {
-	out := make([]float64, len(taus))
-	for _, tau := range taus {
-		if tau < 0 {
-			return nil, fmt.Errorf("truncation: negative τ %g", tau)
-		}
-	}
-	pos := make([]float64, 0, len(taus))
-	idx := make([]int, 0, len(taus))
-	for i, tau := range taus {
-		if tau > 0 { // τ = 0 entries stay at the exact floor 0
-			pos = append(pos, tau)
-			idx = append(idx, i)
-		}
-	}
-	if len(pos) == 0 {
-		return out, nil
-	}
-	g, err := t.gridSolver()
-	if err != nil {
-		return nil, err
-	}
-	sols, err := g.SolveSchedule(pos, t.solveOpt)
-	if err != nil {
-		return nil, err
-	}
-	for j, sol := range sols {
-		v, err := t.release(sol, pos[j])
-		if err != nil {
-			return nil, err
-		}
-		out[idx[j]] = v
-	}
-	return out, nil
 }
 
 // SetSolveOptions overrides the LP solver options (the iteration-limit tests

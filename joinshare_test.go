@@ -40,7 +40,7 @@ var shareVariants = []struct {
 func shareOpts(signed bool, seed int64) Options {
 	return Options{
 		Epsilon: 1, GSQ: 256, Primary: []string{"Node"}, Beta: 0.1,
-		Noise: NewNoiseSource(seed), EarlyStop: true,
+		Noise:            NewNoiseSource(seed),
 		AllowNegativeSum: signed,
 	}
 }

@@ -87,7 +87,8 @@ func queryWithLP(t *testing.T, db *DB, q string, opt Options) *Answer {
 // TestPartitionFastPathBitIdentical is the tentpole's contract: the released
 // answer with the closed-form partition truncator is bit-for-bit the answer
 // the simplex pipeline releases under the same seed — for COUNT (integer-exact
-// regime) and SUM (integral ψ), with and without EarlyStop.
+// regime) and SUM (integral ψ). The simplex run prunes races by their dual
+// bounds; the partition operator has no bounder and answers every race.
 func TestPartitionFastPathBitIdentical(t *testing.T) {
 	db := shopDB(t, skewedOrders(30, 4), 30)
 	queries := []string{
@@ -95,37 +96,35 @@ func TestPartitionFastPathBitIdentical(t *testing.T) {
 		`SELECT SUM(Orders.price) FROM Orders`,
 	}
 	for _, q := range queries {
-		for _, early := range []bool{false, true} {
-			for seed := int64(1); seed <= 5; seed++ {
-				base := Options{
-					Epsilon: 0.8, GSQ: 512, Primary: []string{"Customer"},
-					EarlyStop: early, Profile: true,
-				}
-				fast := base
-				fast.Noise = NewNoiseSource(seed)
-				slow := base
-				slow.Noise = NewNoiseSource(seed)
+		for seed := int64(1); seed <= 5; seed++ {
+			base := Options{
+				Epsilon: 0.8, GSQ: 512, Primary: []string{"Customer"},
+				Profile: true,
+			}
+			fast := base
+			fast.Noise = NewNoiseSource(seed)
+			slow := base
+			slow.Noise = NewNoiseSource(seed)
 
-				af, err := db.Query(q, fast)
-				if err != nil {
-					t.Fatal(err)
-				}
-				as := queryWithLP(t, db, q, slow)
-				if math.Float64bits(af.Estimate) != math.Float64bits(as.Estimate) {
-					t.Fatalf("%s early=%v seed=%d: fast %v (%x) != simplex %v (%x)",
-						q, early, seed, af.Estimate, math.Float64bits(af.Estimate),
-						as.Estimate, math.Float64bits(as.Estimate))
-				}
-				if af.WinnerTau != as.WinnerTau || af.TauStar != as.TauStar || af.TrueAnswer != as.TrueAnswer {
-					t.Fatalf("%s early=%v seed=%d: diagnostics diverge: %+v vs %+v", q, early, seed, af, as)
-				}
-				// The fast run really took the fast path, and the slow run didn't.
-				if af.Profile.Counters[obs.CtrPartitionFastPath.String()] != 1 {
-					t.Fatalf("%s: fast run did not use the partition path: %v", q, af.Profile.Counters)
-				}
-				if as.Profile.Counters[obs.CtrPartitionFastPath.String()] != 0 {
-					t.Fatalf("%s: the LP run used the partition path", q)
-				}
+			af, err := db.Query(q, fast)
+			if err != nil {
+				t.Fatal(err)
+			}
+			as := queryWithLP(t, db, q, slow)
+			if math.Float64bits(af.Estimate) != math.Float64bits(as.Estimate) {
+				t.Fatalf("%s seed=%d: fast %v (%x) != simplex %v (%x)",
+					q, seed, af.Estimate, math.Float64bits(af.Estimate),
+					as.Estimate, math.Float64bits(as.Estimate))
+			}
+			if af.WinnerTau != as.WinnerTau || af.TauStar != as.TauStar || af.TrueAnswer != as.TrueAnswer {
+				t.Fatalf("%s seed=%d: diagnostics diverge: %+v vs %+v", q, seed, af, as)
+			}
+			// The fast run really took the fast path, and the slow run didn't.
+			if af.Profile.Counters[obs.CtrPartitionFastPath.String()] != 1 {
+				t.Fatalf("%s: fast run did not use the partition path: %v", q, af.Profile.Counters)
+			}
+			if as.Profile.Counters[obs.CtrPartitionFastPath.String()] != 0 {
+				t.Fatalf("%s: the LP run used the partition path", q)
 			}
 		}
 	}

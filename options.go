@@ -23,15 +23,16 @@ type Options struct {
 	// Noise overrides the noise source (default: a fresh source keyed from
 	// the system CSPRNG — see dp.NewCryptoSource).
 	Noise NoiseSource
-	// EarlyStop enables the dual-bound race pruning of Algorithm 1.
+	// EarlyStop is ignored: every R2T release prunes races by their dual
+	// bounds (Algorithm 1), which changes only speed, never the answer.
+	//
+	// Deprecated: nothing reads it. It stays until the benchmark harness
+	// stops setting it, and then goes.
 	EarlyStop bool
 	// Naive forces naive truncation instead of the LP operator. Only valid
 	// for self-join-free queries without projection; Query fails otherwise.
 	// The LP operator (default) is valid for all SPJA queries.
 	Naive bool
-	// Workers solves races concurrently (default 1; negative = GOMAXPROCS).
-	// The released estimate is unchanged; only wall time.
-	Workers int
 	// ExecWorkers bounds the join executor's probe worker pool (default 0 =
 	// GOMAXPROCS; 1 runs fully serial). Join results — row order included —
 	// and therefore every released answer are bit-identical for every

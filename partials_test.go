@@ -126,11 +126,10 @@ func releaseMerged(t *testing.T, m *truncation.PartitionTruncator, opt Options) 
 		t.Fatal("no r2t backend")
 	}
 	out, err := be.Run(m, mech.Params{
-		Epsilon:   opt.Epsilon,
-		GSQ:       opt.GSQ,
-		Beta:      opt.Beta,
-		Noise:     opt.Noise,
-		EarlyStop: opt.EarlyStop,
+		Epsilon: opt.Epsilon,
+		GSQ:     opt.GSQ,
+		Beta:    opt.Beta,
+		Noise:   opt.Noise,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +146,7 @@ func releaseMergedSigned(t *testing.T, pos, neg *truncation.PartitionTruncator, 
 		Beta:      opt.Beta,
 		GSQ:       opt.GSQ,
 		Noise:     opt.Noise,
-		EarlyStop: opt.EarlyStop,
+		EarlyStop: true,
 	}
 	outPos, err := core.Run(pos, cfg)
 	if err != nil {
@@ -184,7 +183,7 @@ func TestShardedEquivalenceRandomized(t *testing.T) {
 	for _, nShards := range []int{1, 2, 4} {
 		for seed := int64(0); seed < 6; seed++ {
 			full, shards := buildShardedShop(t, rand.New(rand.NewSource(seed)), nShards)
-			base := Options{GSQ: 4096, Primary: []string{"Customer"}, EarlyStop: true}
+			base := Options{GSQ: 4096, Primary: []string{"Customer"}}
 			noiseSeed := 1000*seed + int64(nShards)
 
 			// Every workload must clear the router's static shardability gate.

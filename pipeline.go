@@ -360,8 +360,6 @@ func (p *Prepared) releaseOne(ctx context.Context, halves []Unit, noise NoiseSou
 			Rec:       p.rec,
 			Answer:    u.TrueAnswer,
 			FixedTau:  p.opt.FixedTau,
-			EarlyStop: p.opt.EarlyStop,
-			Workers:   p.opt.Workers,
 			Interrupt: ctx.Done(),
 		})
 		if err != nil {

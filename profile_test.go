@@ -23,35 +23,33 @@ func trianglesDB(t *testing.T) *DB {
 
 // TestProfileBitIdenticalEstimate: profiling is pure observation — with the
 // same seeded noise, the released estimate (and every diagnostic the release
-// depends on) is bit-identical with Profile on and off, for the plain, the
-// early-stop, and the signed-split pipelines.
+// depends on) is bit-identical with Profile on and off, for the plain and
+// the signed-split pipelines.
 func TestProfileBitIdenticalEstimate(t *testing.T) {
-	run := func(profile bool, early bool) *Answer {
+	run := func(profile bool) *Answer {
 		db := trianglesDB(t)
 		ans, err := db.Query(edgeCount, Options{
 			Epsilon: 1, GSQ: 256, Primary: []string{"Node"},
-			Noise: NewNoiseSource(7), EarlyStop: early, Profile: profile,
+			Noise: NewNoiseSource(7), Profile: profile,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return ans
 	}
-	for _, early := range []bool{false, true} {
-		off := run(false, early)
-		on := run(true, early)
-		if math.Float64bits(off.Estimate) != math.Float64bits(on.Estimate) {
-			t.Errorf("early=%v: estimate %v (off) != %v (on)", early, off.Estimate, on.Estimate)
-		}
-		if off.TauStar != on.TauStar || off.WinnerTau != on.WinnerTau {
-			t.Errorf("early=%v: diagnostics diverge with profiling on", early)
-		}
-		if off.Profile != nil {
-			t.Error("Profile must be nil when Options.Profile is off")
-		}
-		if on.Profile == nil {
-			t.Error("Profile must be set when Options.Profile is on")
-		}
+	off := run(false)
+	on := run(true)
+	if math.Float64bits(off.Estimate) != math.Float64bits(on.Estimate) {
+		t.Errorf("estimate %v (off) != %v (on)", off.Estimate, on.Estimate)
+	}
+	if off.TauStar != on.TauStar || off.WinnerTau != on.WinnerTau {
+		t.Error("diagnostics diverge with profiling on")
+	}
+	if off.Profile != nil {
+		t.Error("Profile must be nil when Options.Profile is off")
+	}
+	if on.Profile == nil {
+		t.Error("Profile must be set when Options.Profile is on")
 	}
 
 	signed := func(profile bool) *Answer {
@@ -65,7 +63,7 @@ func TestProfileBitIdenticalEstimate(t *testing.T) {
 		}
 		return ans
 	}
-	off, on := signed(false), signed(true)
+	off, on = signed(false), signed(true)
 	if math.Float64bits(off.Estimate) != math.Float64bits(on.Estimate) {
 		t.Errorf("signed split: estimate %v (off) != %v (on)", off.Estimate, on.Estimate)
 	}
@@ -82,7 +80,9 @@ func TestProfileBitIdenticalEstimate(t *testing.T) {
 // the simplex genuinely pivots AND whole components get redundancy-skipped,
 // exercising every LP counter. (A triangle workload would not do: with every
 // sensitivity exactly 2 and the grid starting at τ=2, all components skip and
-// the simplex never runs.)
+// the simplex never runs.) GS_Q = 4 keeps the races few and their noise small
+// enough that the dual bounds cannot prune both: at GS_Q = 256 every race is
+// pruned and no LP is solved.
 func TestProfileStagesSumWithinDuration(t *testing.T) {
 	var edges [][2]int64
 	for i := int64(0); i < 19; i++ {
@@ -91,7 +91,7 @@ func TestProfileStagesSumWithinDuration(t *testing.T) {
 	db := graphDB(t, edges, 20)
 	const twoHop = `SELECT COUNT(*) FROM Edge e1, Edge e2 WHERE e1.dst = e2.src`
 	ans, err := db.Query(twoHop, Options{
-		Epsilon: 1, GSQ: 256, Primary: []string{"Node"},
+		Epsilon: 1, GSQ: 4, Primary: []string{"Node"},
 		Noise: NewNoiseSource(1), Profile: true,
 	})
 	if err != nil {

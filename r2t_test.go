@@ -3,6 +3,7 @@ package r2t
 import (
 	"math"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -157,6 +158,8 @@ func TestExportReport(t *testing.T) {
 }
 
 func TestEarlyStopOption(t *testing.T) {
+	// Every release prunes races by their dual bounds; the deprecated
+	// EarlyStop option is ignored, so setting it moves no bit and no race.
 	var edges [][2]int64
 	for i := int64(1); i <= 20; i++ {
 		edges = append(edges, [2]int64{0, i}) // a 20-star
@@ -170,7 +173,30 @@ func TestEarlyStopOption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(plain.Estimate-early.Estimate) > 1e-6 {
-		t.Errorf("early stop changed the estimate: %g vs %g", early.Estimate, plain.Estimate)
+	if math.Float64bits(plain.Estimate) != math.Float64bits(early.Estimate) {
+		t.Errorf("EarlyStop changed the estimate: %g vs %g", early.Estimate, plain.Estimate)
 	}
+	if !reflect.DeepEqual(racesOnly(plain.Races), racesOnly(early.Races)) {
+		t.Errorf("EarlyStop changed the races: %+v vs %+v", early.Races, plain.Races)
+	}
+	pruned := 0
+	for _, r := range plain.Races {
+		if r.Pruned {
+			pruned++
+		}
+	}
+	if pruned == 0 {
+		t.Errorf("no race pruned without EarlyStop set: %+v", plain.Races)
+	}
+}
+
+// racesOnly drops each race's wall-clock duration, the one field that varies
+// between identical runs.
+func racesOnly(races []Race) []Race {
+	out := make([]Race, len(races))
+	for i, r := range races {
+		r.Duration = 0
+		out[i] = r
+	}
+	return out
 }

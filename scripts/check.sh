@@ -1,7 +1,7 @@
 #!/bin/sh
 # Full pre-merge gate: formatting, vet, build, and the whole test suite under
-# the race detector (the parallel core.Run races and the pooled LP workspaces
-# are the code this exists to police). Run from the repo root:
+# the race detector (the pooled LP workspaces and the server's concurrent
+# requests are the code this exists to police). Run from the repo root:
 #
 #	./scripts/check.sh
 set -eu
